@@ -3,9 +3,8 @@
 Subpackages cover the iteration engine (maps), trajectory statistics and
 verification sweeps (stats), the coefficient stopping time (coeffstop),
 cycle algebra and cycle-length bounds (cycles), inverse iteration trees
-(trees), the 2-adic conjugacy permutation (twoadic), FRACTRAN machines
-(fractran), Markov analysis of residue maps (markov), stochastic models
-(stochastic), and satellite problems (extras).
+(trees), the 2-adic conjugacy permutation (twoadic), continued fractions
+of log2 3 (cf), and FRACTRAN machines (fractran).
 """
 
 __version__ = "0.1.0"

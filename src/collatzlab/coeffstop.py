@@ -51,7 +51,8 @@ class CoeffStopRecord:
 
 
 def coeff_stop_record(n: int, step_limit: int = 10**5) -> CoeffStopRecord:
-    """Exact coefficient stopping time of n with the affine identity asserted."""
+    """Exact coefficient stopping time of n; the affine identity at k is
+    checked by replay and raises ArithmeticError if it fails."""
     if n < 2:
         raise ValueError("n must be >= 2")
     x = n
@@ -81,7 +82,8 @@ def coeff_stop_record(n: int, step_limit: int = 10**5) -> CoeffStopRecord:
     y = n
     for _ in range(k):
         y = t_step_int(y)
-    assert coeff * n + offset == y, "affine identity failed"
+    if coeff * n + offset != y:
+        raise ArithmeticError(f"affine identity failed at n={n}, k={k}")
     return CoeffStopRecord(n, k, a_at_k, coeff, offset, sigma)
 
 
@@ -206,7 +208,7 @@ def verify_coefficient_conjecture(
     counterexamples = _sweep_for_disagreement(bound, k_max)
     # dangerous pairs should track convergent/intermediate denominators of
     # the continued fraction of log2 3; record the catalogue for the report
-    cf = cf_log2_3(min(24, 20))
+    cf = cf_log2_3(20)
     dens = [q for _, q in cf.convergents_with_intermediates() if q <= max(
         (p.odd_steps for p in pairs[:16]), default=1)]
     return CoeffStopReport(

@@ -135,8 +135,10 @@ def rational_cycles_3xd(d: int, max_period: int) -> RationalCycleReport:
             canon = tuple(core[i:] + core[:i])
             found.setdefault(canon, CycleRecord(canon, f"3x+d:{d}"))
     cycles = sorted(found.values(), key=lambda c: (c.period, c.min_element))
+    spec = three_x_plus_d(d)
     for c in cycles:
-        assert c.verify(three_x_plus_d(d))
+        if not c.verify(spec):
+            raise ArithmeticError(f"cycle {c.elements} does not replay under 3x+{d}")
     return RationalCycleReport(d, max_period, cycles)
 
 
@@ -354,6 +356,11 @@ def cycle_length_lower_bound(
     Windows are scanned with a wrap-around 64-bit fixed-point prefilter (a
     certified superset), candidates are settled against 192-bit directed
     bounds, and boundary straddles fall back to exact power comparisons.
+
+    With first_only the scan stops at the minimal pair, so feasible_periods
+    lists only the periods for n <= min_odd_terms and scanned_odd_terms is
+    that n; a full scan lists every feasible period up to period_cutoff and
+    scans every n up to the cap it implies.
     """
     D = verification_bound
     if D < 2:
@@ -374,7 +381,7 @@ def cycle_length_lower_bound(
     packed_memo: dict[tuple[int, int], bool] = {}
     min_pair: Optional[tuple[int, int]] = None
     exact_checks = 0
-    block = 1 << 24
+    block = 1 << 20
     t64 = np.uint64(theta64)
     d64 = np.uint64(delta64 + 3)
 
@@ -400,11 +407,13 @@ def cycle_length_lower_bound(
         return packed_memo[key]
 
     base = 1
+    scanned = 0
     while base <= n_cap:
         hi = int(min(base + block - 1, n_cap))
         n = np.arange(base, hi + 1, dtype=np.uint64)
         r = n * t64                      # wraps: fractional part in 2^-64 units
         sel = np.invert(r) < n * d64 + np.uint64(8)
+        scanned = hi
         for nn in n[sel].tolist():
             p = window_feasible(nn)
             if p is None:
@@ -413,6 +422,9 @@ def cycle_length_lower_bound(
             if min_pair is None:
                 if packed_ok(nn, p):
                     min_pair = (nn, p)
+                    if first_only:
+                        scanned = nn
+                        break
                 else:
                     rejections.append((nn, p))
         if first_only and min_pair is not None:
@@ -427,7 +439,7 @@ def cycle_length_lower_bound(
         min_period=min_pair[1] if min_pair else None,
         feasible_periods=periods,
         period_cutoff=period_cutoff,
-        scanned_odd_terms=int(min(n_cap, 1 << 62)),
+        scanned_odd_terms=scanned,
         window_constants_hex={
             "log2_3": hex(lo3),
             "log2_3_plus_1_over_D": hex(loD),

@@ -65,7 +65,7 @@ class ResidueAffineMap:
             if br.den <= 0:
                 raise MapError(f"residue {i}: denominator must be positive")
             a, b = br.coeffs()
-            if Fraction(a.denominator * 1, 1) and self.modulus % a.denominator != 0:
+            if self.modulus % a.denominator != 0:
                 raise MapError(
                     f"integrality violation on residue {i}: "
                     f"denominator of {a} does not divide d={self.modulus}"

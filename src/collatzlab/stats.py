@@ -144,13 +144,8 @@ def height_and_total_stop(n: int) -> tuple[int, int]:
 class ClassSieve:
     k: int
     survivors: np.ndarray          # residues mod 2^k with no coefficient drop
-    drop_step: np.ndarray          # 0 for survivors, else first drop step
-    thresholds: np.ndarray         # exceptional bound per eliminated class
-    survivor_counts: list[int]     # survivors after each step 1..k
-
-    @property
-    def max_threshold(self) -> int:
-        return int(self.thresholds.max(initial=0))
+    survivor_counts: list[int]     # survivors mod 2^k after each step 1..k
+    max_threshold: int             # largest exceptional bound of a dropped class
 
     def survivor_fraction(self, j: int) -> Fraction:
         return Fraction(self.survivor_counts[j - 1], 1 << self.k)
@@ -164,32 +159,43 @@ def class_sieve(k: int) -> ClassSieve:
     eliminated class are then guaranteed to drop below themselves, and the
     finitely many smaller members are the exceptional set a verifier must
     sweep directly.
+
+    The sieve is built by lifting (Terras 1976; Everett 1977): the first j
+    parities of n depend only on n mod 2^j, and a survivor r mod 2^(j-1)
+    with a odd steps so far lifts to the classes r and r + 2^(j-1) mod 2^j
+    with T^(j-1)(r + 2^(j-1)) = T^(j-1)(r) + 3^a.  Each level therefore
+    takes one T-step per lift of a survivor instead of one per residue.
+    int64 cannot overflow for k <= 26: T^j(r) < 3^j <= 3^26 < 2^42, and
+    the offset B < 3^j < 2^42, so 3v + 1 and 3B + 2^j stay below 2^45.
     """
     if not 1 <= k <= SIEVE_K_MAX:
         raise ValueError(f"sieve exponent must be in 1..{SIEVE_K_MAX}")
-    m = 1 << k
-    v = np.arange(m, dtype=np.int64)
-    a = np.zeros(m, dtype=np.int64)
-    B = np.zeros(m, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    drop = np.zeros(m, dtype=np.int64)
-    thr = np.zeros(m, dtype=np.int64)
-    pow3 = 3 ** np.arange(k + 2, dtype=np.int64)
+    pow3 = 3 ** np.arange(k + 1, dtype=np.int64)
+    # the single class mod 2^0: residue, T^j(r), odd count a, offset B
+    r = np.zeros(1, dtype=np.int64)
+    v = np.zeros(1, dtype=np.int64)
+    a = np.zeros(1, dtype=np.int64)
+    B = np.zeros(1, dtype=np.int64)
     counts = []
+    max_threshold = 0
     for j in range(1, k + 1):
+        half = 1 << (j - 1)
+        r = np.concatenate((r, r + half))
+        v = np.concatenate((v, v + pow3[a]))
+        a = np.concatenate((a, a))
+        B = np.concatenate((B, B))
         odd = (v & 1).astype(bool)
-        upd = alive & odd
-        B[upd] = 3 * B[upd] + (1 << (j - 1))
-        a[upd] += 1
+        B[odd] = 3 * B[odd] + half
+        a += odd
         v = np.where(odd, 3 * v + 1, v) >> 1
-        newly = alive & (pow3[a] < (1 << j))
-        if newly.any():
-            den = (1 << j) - pow3[a[newly]]
-            thr[newly] = B[newly] // den
-            drop[newly] = j
-            alive &= ~newly
-        counts.append(int(alive.sum()))
-    return ClassSieve(k, np.nonzero(alive)[0].astype(np.int64), drop, thr, counts)
+        gap = (1 << j) - pow3[a]
+        dropped = gap > 0
+        if dropped.any():
+            max_threshold = max(max_threshold, int((B[dropped] // gap[dropped]).max()))
+            alive = ~dropped
+            r, v, a, B = r[alive], v[alive], a[alive], B[alive]
+        counts.append(len(r) << (k - j))
+    return ClassSieve(k, r, counts, max_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from collatzlab import coeffstop
 from collatzlab.coeffstop import (
     coeff_stop_record,
     residue_class_structure,
@@ -80,3 +81,11 @@ def test_kappa_residue_classes():
 def test_k_cap_usage_error():
     with pytest.raises(ValueError):
         verify_coefficient_conjecture(10**6)
+
+
+def test_affine_identity_failure_raises(monkeypatch):
+    # the affine-identity check must hold under python -O, so it cannot be
+    # an assert
+    monkeypatch.setattr(coeffstop, "t_step_int", lambda x: t_step_int(x) + 1)
+    with pytest.raises(ArithmeticError):
+        coeff_stop_record(27)

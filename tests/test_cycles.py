@@ -13,7 +13,7 @@ from collatzlab.cycles import (
     replay_word,
     word_offset,
 )
-from collatzlab.maps import find_cycles, t_map, three_x_plus_d
+from collatzlab.maps import CycleRecord, find_cycles, t_map, three_x_plus_d
 
 
 # ------------------------------------------------------------- cycle_value
@@ -71,6 +71,13 @@ def test_rational_cycles_agree_with_search():
             if c.period <= 12 and gcd(c.min_element, d) == 1 and c.min_element > 0
         }
         assert from_words == from_search
+
+
+def test_rational_cycles_certificate_failure_raises(monkeypatch):
+    # the replay check must hold under python -O, so it cannot be an assert
+    monkeypatch.setattr(CycleRecord, "verify", lambda self, spec: False)
+    with pytest.raises(ArithmeticError):
+        rational_cycles_3xd(5, 10)
 
 
 def test_rational_cycles_validation():

@@ -153,6 +153,45 @@ def test_class_sieve_thresholds_small():
     assert len(s.survivors) == 2114
 
 
+def naive_class_sieve(k):
+    """Per-class oracle: step every residue r < 2^k with its odd count a and
+    offset B until the coefficient 3^a / 2^j first falls below 1."""
+    survivors = []
+    alive_after = [0] * k
+    max_threshold = 0
+    for r in range(1 << k):
+        x, a, B = r, 0, 0
+        for j in range(1, k + 1):
+            if x & 1:
+                B = 3 * B + (1 << (j - 1))
+                a += 1
+            x = t_step_int(x)
+            if 3**a < 1 << j:
+                max_threshold = max(max_threshold, B // ((1 << j) - 3**a))
+                break
+            alive_after[j - 1] += 1
+        else:
+            survivors.append(r)
+    return survivors, alive_after, max_threshold
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_class_sieve_against_naive_oracle(k):
+    s = class_sieve(k)
+    survivors, counts, max_threshold = naive_class_sieve(k)
+    assert s.survivors.dtype == np.int64
+    assert s.survivors.tolist() == survivors
+    assert s.survivor_counts == counts
+    assert s.max_threshold == max_threshold
+
+
+@pytest.mark.parametrize("k, survivors", [(20, 27328), (21, 46611), (26, 1037374)])
+def test_class_sieve_survivor_counts(k, survivors):
+    s = class_sieve(k)
+    assert len(s.survivors) == s.survivor_counts[-1] == survivors
+    assert s.max_threshold == 24
+
+
 def test_below_power_density_high_beta_recount():
     # beta close to 1: recount against a naive exact oracle
     beta = Fraction(999, 1000)
