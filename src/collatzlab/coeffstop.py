@@ -12,7 +12,6 @@ that a direct sweep then clears.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -20,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .cf import cf_log2_3
-from .stats import t_step_int
+from .kernel import descend, t_step_int
+from .maps import DEFAULT_STEP_LIMIT
 
 DEFAULT_K_CAP = 4000
 
@@ -50,7 +50,7 @@ class CoeffStopRecord:
         }
 
 
-def coeff_stop_record(n: int, step_limit: int = 10**5) -> CoeffStopRecord:
+def coeff_stop_record(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> CoeffStopRecord:
     """Exact coefficient stopping time of n; the affine identity at k is
     checked by replay and raises ArithmeticError if it fails."""
     if n < 2:
@@ -65,9 +65,7 @@ def coeff_stop_record(n: int, step_limit: int = 10**5) -> CoeffStopRecord:
         if x & 1:
             B = 3 * B + (1 << (j - 1))
             a += 1
-            x = (3 * x + 1) // 2
-        else:
-            x //= 2
+        x = t_step_int(x)
         if k is None and 3**a < (1 << j):
             k, a_at_k, B_at_k = j, a, B
         if sigma is None and x < n:
@@ -224,48 +222,19 @@ def verify_coefficient_conjecture(
 
 def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     """All n <= n_max whose coefficient stopping time is <= k_max but whose
-    stopping time differs (vectorized; exact int64-safe comparisons)."""
-    if n_max < 2:
-        return []
-    # first k with 2^k > 3^a, as a lookup
-    kmin = []
-    p3 = 1
-    while p3.bit_length() <= 400:
-        kmin.append(p3.bit_length())
-        p3 *= 3
-    kmin = np.array(kmin, dtype=np.int64)
-
+    stopping time differs (vectorized, exact)."""
     bad: list[int] = []
     block = 1 << 20
-    guard = (1 << 62) // 3
     for lo in range(2, n_max + 1, block):
         hi = min(lo + block - 1, n_max)
         n = np.arange(lo, hi + 1, dtype=np.int64)
-        v = n.copy()
-        a = np.zeros(len(n), dtype=np.int64)
-        kappa = np.zeros(len(n), dtype=np.int64)
-        idx = np.arange(len(n))
-        j = 0
-        while len(idx):
-            j += 1
-            odd = (v & 1).astype(bool)
-            a[idx[odd]] += 1
-            v = np.where(odd, 3 * v + 1, v) >> 1
-            crossed = (kappa[idx] == 0) & (kmin[a[idx]] <= j)
-            kappa[idx[crossed]] = j
-            dropped = v < n[idx]
-            if dropped.any():
-                di = idx[dropped]
-                # sigma = j here; disagreement iff kappa was set earlier
-                bad.extend(int(x) for x in n[di[(kappa[di] != 0) & (kappa[di] < j)
-                                               & (kappa[di] <= k_max)]])
-                keep = ~dropped
-                idx, v = idx[keep], v[keep]
-            if len(v) and v.max() > guard:  # pragma: no cover - tiny n only
-                raise OverflowError("coefficient sweep exceeded int64 guard")
-            if j > 10**5:  # pragma: no cover
-                raise RuntimeError("coefficient sweep did not terminate")
-    return sorted(bad)
+        d = descend(n, DEFAULT_STEP_LIMIT, kappa=True)
+        if len(d.unresolved):
+            raise RuntimeError(f"coefficient sweep: n={n[d.unresolved[0]]} did not drop "
+                               f"below itself within {DEFAULT_STEP_LIMIT} steps")
+        # kappa <= sigma always; disagreement iff kappa came strictly earlier
+        bad.extend(n[(d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)].tolist())
+    return bad
 
 
 def residue_class_structure(k: int) -> bool:

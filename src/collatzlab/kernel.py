@@ -1,0 +1,126 @@
+"""The T-step kernel: the one place that steps T(x) = (3x+1)/2 for odd x,
+x/2 for even x, and the one overflow policy of the vectorized sweeps.
+
+Every sweep is a descent: iterate T on a batch of starts until each first
+falls below a threshold (the start itself for the stopping time; Terras
+1976).  `descend` runs it on int64 arrays; a start above GUARD, or one
+whose orbit crosses it, is run in exact Python ints instead, so every
+number it returns is exact and no caller sees an overflow.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+#: largest iterate an int64 step may take: 3 * GUARD + 1 <= 2^62 + 1 < 2^63
+GUARD = (1 << 62) // 3
+
+
+def t_step_int(x: int) -> int:
+    return (3 * x + 1) // 2 if x & 1 else x // 2
+
+
+def t_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One T-step of every element of an int64 array whose elements are at
+    most GUARD; returns the new iterates and the odd mask of the old ones."""
+    odd = (v & 1).astype(bool)
+    return np.where(odd, 3 * v + 1, v) >> 1, odd
+
+
+@dataclass
+class Descent:
+    """Per-start results of `descend`, indexed like its starts.  An output
+    the call did not ask for is None; an unresolved start reads 0."""
+
+    unresolved: np.ndarray              # indices still at or above threshold at step_limit
+    steps: Optional[np.ndarray] = None  # first step with T^steps(n) below the threshold
+    drop: Optional[np.ndarray] = None   # T^steps(n)
+    peak: Optional[np.ndarray] = None   # max T^j(n), 1 <= j <= steps (object dtype past int64)
+    kappa: Optional[np.ndarray] = None  # coefficient stopping time, 0 if not reached by then
+
+
+def descend(
+    starts: np.ndarray,
+    step_limit: int,
+    threshold: Optional[np.ndarray] = None,
+    *,
+    peak: bool = False,
+    kappa: bool = False,
+) -> Descent:
+    """Iterate T on int64 starts until each first falls below its threshold
+    (default: the start itself, which no threshold may exceed), giving up
+    after step_limit steps.  The live set is compacted as starts retire.  Only the outputs
+    asked for are tracked (peak: drop and peak; kappa: steps and kappa), so
+    a bare call costs a step, a compare, a compaction and a guard test per
+    step.  kappa is the first k with 3^a < 2^k, a the odd steps among the
+    first k; it never exceeds the stopping time.
+    """
+    size = len(starts)
+    names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
+    out = {name: np.zeros(size, dtype=np.int64) for name in names}
+    live = {"idx": np.arange(size), "v": starts, "thr": starts if threshold is None else threshold}
+    if peak:
+        live["peak"] = np.zeros(size, dtype=np.int64)
+    if kappa:
+        live["a"] = np.zeros(size, dtype=np.int64)
+        live["kappa"] = np.zeros(size, dtype=np.int64)
+        amax, p3 = -1, 1  # largest a with 3^a < 2^step, and 3^(amax + 1)
+    exact: list[tuple[int, int]] = []  # (index, threshold) of orbits that went past GUARD
+    step = 0
+    while len(live["idx"]):
+        big = live["v"] > GUARD
+        if big.any():
+            exact += zip(live["idx"][big].tolist(), live["thr"][big].tolist())
+            live = {k: s[~big] for k, s in live.items()}
+        if step == step_limit:
+            break
+        v, odd = t_step(live["v"])
+        live["v"] = v
+        step += 1
+        if peak:
+            np.maximum(live["peak"], v, out=live["peak"])
+        if kappa:
+            live["a"] += odd
+            while p3.bit_length() <= step:
+                amax, p3 = amax + 1, 3 * p3
+            live["kappa"][(live["kappa"] == 0) & (live["a"] <= amax)] = step
+        stays = v >= live["thr"]
+        if out:
+            gone = ~stays
+            at = live["idx"][gone]
+            for name, col in out.items():
+                col[at] = step if name == "steps" else live["v" if name == "drop" else name][gone]
+        live = {k: s[stays] for k, s in live.items()}
+
+    unresolved = live["idx"].tolist()
+    for i, thr in exact:
+        res = _descend_exact(int(starts[i]), thr, step_limit)
+        if res is None:
+            unresolved.append(i)
+        for name, value in zip(("steps", "drop", "peak", "kappa"), res or ()):
+            if name in out:
+                if value > np.iinfo(np.int64).max and out[name].dtype != object:
+                    out[name] = out[name].astype(object)  # only a peak gets here
+                out[name][i] = value
+    return Descent(np.array(sorted(unresolved), dtype=np.int64), **out)
+
+
+def _descend_exact(n: int, thr: int, step_limit: int) -> Optional[tuple[int, int, int, int]]:
+    """The scalar path of `descend`: the orbit of n in Python ints.  Returns
+    (steps, drop, peak, kappa) as `descend` defines them, or None if
+    step_limit comes first."""
+    x, step, peak, kappa, p3 = n, 0, 0, 0, 1
+    while x >= thr:
+        if step == step_limit:
+            return None
+        if x & 1 and not kappa:
+            p3 *= 3
+        x = t_step_int(x)
+        step += 1
+        peak = max(peak, x)
+        if not kappa and p3.bit_length() <= step:
+            kappa = step
+    return step, x, peak, kappa

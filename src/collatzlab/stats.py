@@ -5,9 +5,9 @@ T-steps ((3x+1)/2 merged form); height is measured in C-steps (3x+1 split
 form); gamma = total stopping time / ln n; the excursion t(n) is the
 largest iterate T^k(n) over k >= 1.
 
-Sweeps run on int64 numpy arrays with an exact big-integer fallback for any
-element that approaches the overflow guard, so every reported number is the
-result of exact arithmetic.
+The sweeps run on `kernel.descend`: int64 numpy arrays, with any orbit
+that crosses the int64 guard run in exact Python ints, so every reported
+number is the result of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_STEP_LIMIT = 10**5
-DEFAULT_MAGNITUDE_LIMIT = 1 << 1024
+from .kernel import descend, t_step, t_step_int
+from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT
+
 SIEVE_K_MAX = 26
-_OVERFLOW_GUARD = (1 << 62) // 3
 
 #: footer note for verification reports: how far the conjecture has been
 #: machine-checked in the published record (desk sweeps substitute for it)
@@ -31,10 +31,6 @@ LITERATURE_CONTEXT = (
     "published distributed computations have checked the conjecture beyond "
     "2e16; this sweep is a desk-scale reproduction, not a record attempt"
 )
-
-
-def t_step_int(x: int) -> int:
-    return (3 * x + 1) // 2 if x & 1 else x // 2
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +122,8 @@ def height_and_total_stop(n: int) -> tuple[int, int]:
     h = s = 0
     x = n
     while x != 1:
-        if x & 1:
-            x = (3 * x + 1) // 2
-            h += 2
-        else:
-            x //= 2
-            h += 1
+        h += 1 + (x & 1)
+        x = t_step_int(x)
         s += 1
     return h, s
 
@@ -184,10 +176,9 @@ def class_sieve(k: int) -> ClassSieve:
         v = np.concatenate((v, v + pow3[a]))
         a = np.concatenate((a, a))
         B = np.concatenate((B, B))
-        odd = (v & 1).astype(bool)
+        v, odd = t_step(v)
         B[odd] = 3 * B[odd] + half
         a += odd
-        v = np.where(odd, 3 * v + 1, v) >> 1
         gap = (1 << j) - pow3[a]
         dropped = gap > 0
         if dropped.any():
@@ -227,52 +218,15 @@ class VerificationReport:
         }
 
 
-def _drop_below_start(n: np.ndarray, step_limit: int) -> list[int]:
-    """Iterate each n until some iterate is < n; return the failures.
-
-    Elements nearing int64 range continue in exact big-integer arithmetic.
-    """
-    failures: list[int] = []
-    v = n.copy()
-    idx = np.arange(len(n))
-    steps = 0
-    while len(idx):
-        odd = (v & 1).astype(bool)
-        v = np.where(odd, 3 * v + 1, v) >> 1
-        steps += 1
-        keep = v >= n[idx]
-        if steps >= step_limit:
-            failures.extend(int(x) for x in n[idx[keep]])
-            break
-        big = v > _OVERFLOW_GUARD
-        if big.any():
-            for start, cur in zip(n[idx[big]].tolist(), v[big].tolist()):
-                if not _drop_below_start_exact(start, cur, step_limit - steps):
-                    failures.append(start)
-            keep &= ~big
-        idx = idx[keep]
-        v = v[keep]
-    return failures
-
-
-def _drop_below_start_exact(start: int, cur: int, budget: int) -> bool:
-    x = cur
-    for _ in range(budget):
-        if x < start:
-            return True
-        x = t_step_int(x)
-    return False
-
-
 def _verify_chunk(args) -> tuple[int, list[int]]:
+    """The n in lo..hi with n mod 2^k in offs: their count, and those with
+    no iterate below n within step_limit steps."""
     lo, hi, offs_list, k, step_limit = args
     offs = np.asarray(offs_list, dtype=np.int64)
     base = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64) << k
     n = (base[:, None] + offs[None, :]).ravel()
     n = n[(n >= lo) & (n <= hi)]
-    if len(n) == 0:
-        return 0, []
-    return len(n), _drop_below_start(n, step_limit)
+    return len(n), n[descend(n, step_limit).unresolved].tolist()
 
 
 def verify_range(
@@ -283,55 +237,47 @@ def verify_range(
     threads: int = 1,
 ) -> VerificationReport:
     """Confirm that every 2 <= n <= n_max has some iterate below itself
-    (hence, by induction, reaches 1).
+    (hence, by induction, reaches 1); an n still running after step_limit
+    steps is a failure.
 
     In sieve mode, residues mod 2^sieve_k with a guaranteed early drop are
-    skipped; the exceptional small members of eliminated classes are swept
-    naively below an exact cutoff, so the sieve loses no soundness.
+    skipped: every member above the sieve's max_threshold of an eliminated
+    class drops below itself, so only 2..naive_cutoff, with naive_cutoff =
+    min(max_threshold, n_max), is swept naively, and above it only members
+    of surviving classes are iterated.  The sieve loses no soundness.  Of a
+    sieved report, only naive_cutoff and candidates_iterated differ from the
+    earlier cutoff max(max_threshold, 2^sieve_k).
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if mode not in ("naive", "sieve"):
         raise ValueError("mode must be 'naive' or 'sieve'")
 
-    failures: list[int] = []
     fractions: dict[int, str] = {}
-    iterated = 0
     if mode == "naive":
         cutoff = n_max
-        for lo in range(2, n_max + 1, 1 << 22):
-            hi = min(lo + (1 << 22) - 1, n_max)
-            block = np.arange(lo, hi + 1, dtype=np.int64)
-            failures.extend(_drop_below_start(block, step_limit))
-            iterated += len(block)
     else:
         sieve = class_sieve(sieve_k)
-        for j in range(1, sieve_k + 1):
-            fractions[j] = str(sieve.survivor_fraction(j))
-        cutoff = max(sieve.max_threshold, 1 << sieve_k)
-        cutoff = min(cutoff, n_max)
-        naive_part = np.arange(2, cutoff + 1, dtype=np.int64)
-        failures.extend(_drop_below_start(naive_part, step_limit))
-        iterated += len(naive_part)
-        if cutoff < n_max:
-            offs = sieve.survivors.tolist()
-            spans = []
-            span = max(1 << 22, 1 << sieve_k)
-            lo = cutoff + 1
-            while lo <= n_max:
-                hi = min(lo + span - 1, n_max)
-                spans.append((lo, hi, offs, sieve_k, step_limit))
-                lo = hi + 1
-            if threads > 1:
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    for cnt, res in pool.map(_verify_chunk, spans):
-                        iterated += cnt
-                        failures.extend(res)
-            else:
-                for args in spans:
-                    cnt, res = _verify_chunk(args)
-                    iterated += cnt
-                    failures.extend(res)
+        fractions = {j: str(sieve.survivor_fraction(j)) for j in range(1, sieve_k + 1)}
+        cutoff = min(sieve.max_threshold, n_max)
+    failures: list[int] = []
+    for lo in range(2, cutoff + 1, 1 << 22):
+        block = np.arange(lo, min(lo + (1 << 22) - 1, cutoff) + 1, dtype=np.int64)
+        failures += block[descend(block, step_limit).unresolved].tolist()
+    iterated = max(cutoff - 1, 0)
+    if cutoff < n_max:
+        offs = sieve.survivors.tolist()
+        span = max(1 << 22, 1 << sieve_k)
+        spans = [(lo, min(lo + span - 1, n_max), offs, sieve_k, step_limit)
+                 for lo in range(max(cutoff, 1) + 1, n_max + 1, span)]
+        if threads > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                chunks = list(pool.map(_verify_chunk, spans))
+        else:
+            chunks = [_verify_chunk(args) for args in spans]
+        for cnt, res in chunks:
+            iterated += cnt
+            failures += res
     failures = sorted(set(failures))
     return VerificationReport(
         n_max=n_max,
@@ -362,64 +308,58 @@ def below_power_density(
     n_max: int,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> Fraction:
-    """Fraction of 2 <= n <= n_max with some iterate T^k(n) < n^beta.
+    """Fraction of 2 <= n <= n_max with some iterate T^k(n) < n^beta,
+    1 <= k <= step_limit.
 
-    beta is an exact rational in (0,1); boundary comparisons fall back to
-    exact integer power tests, so float rounding cannot flip a verdict.
+    beta is an exact rational p/q in (0,1).  For an integer v, v < n^beta
+    holds exactly when v < ceil(n^beta), so the sweep is a descent below the
+    exact integer thresholds of `_power_ceiling`.
     """
     beta = Fraction(beta).limit_denominator(10**9) if not isinstance(beta, Fraction) else beta
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
     if n_max < 10**3:
         raise ValueError("n_max must be >= 1000")
-    p, q = beta.numerator, beta.denominator
     hits = 0
     for lo in range(2, n_max + 1, 1 << 21):
         hi = min(lo + (1 << 21) - 1, n_max)
         n = np.arange(lo, hi + 1, dtype=np.int64)
-        thr = np.exp(float(beta) * np.log(n.astype(np.float64)))
-        safe_lo = np.floor(thr * (1 - 1e-12)).astype(np.int64) - 1
-        safe_hi = np.ceil(thr * (1 + 1e-12)).astype(np.int64) + 1
-        v = n.copy()
-        idx = np.arange(len(n))
-        done = np.zeros(len(n), dtype=bool)
-        for _ in range(step_limit):
-            odd = (v & 1).astype(bool)
-            v = np.where(odd, 3 * v + 1, v) >> 1
-            succ = v < safe_lo[idx]
-            maybe = ~succ & (v <= safe_hi[idx])
-            if maybe.any():
-                for pos in np.nonzero(maybe)[0]:
-                    nn = int(n[idx[pos]])
-                    if int(v[pos]) ** q < nn**p:
-                        succ[pos] = True
-            if succ.any():
-                done[idx[succ]] = True
-                keep = ~succ
-                idx = idx[keep]
-                v = v[keep]
-            if len(idx) == 0:
-                break
-            if v.max() > _OVERFLOW_GUARD:
-                for pos in range(len(idx)):
-                    nn = int(n[idx[pos]])
-                    if _below_power_exact(nn, int(v[pos]), p, q, step_limit):
-                        done[idx[pos]] = True
-                idx = idx[:0]
-                v = v[:0]
-                break
-        hits += int(done.sum())
+        hits += len(n) - len(descend(n, step_limit, _power_ceiling(n, beta)).unresolved)
     return Fraction(hits, n_max - 1)
 
 
-def _below_power_exact(n: int, cur: int, p: int, q: int, budget: int) -> bool:
-    x = cur
-    target = n**p
-    for _ in range(budget):
-        if x**q < target:
-            return True
-        x = t_step_int(x)
-    return False
+def _power_ceiling(n: np.ndarray, beta: Fraction) -> np.ndarray:
+    """ceil(n^beta) for int64 n >= 2, i.e. the least t with t^q >= n^p for
+    beta = p/q in (0, 1), exactly.
+
+    Error bound: let u = 2^-53 and assume numpy's log and exp are within
+    64 ulp (they are within a few).  The estimate e = exp(b * log(m)), with
+    m = float(n) = n(1 + e0) and b = float(beta) = beta(1 + e1), has log(m)
+    = ln(m)(1 + e2) and a rounded product, factor (1 + e3), where |e0|,
+    |e1|, |e3| <= u and |e2| <= 128u.  As beta < 1 and ln n < 44, the
+    exponent is off from ln y, y = n^beta, by under 44 * 131u + 2u < 5800u,
+    and exp adds a relative 128u, so |e/y - 1| < 5930u < 6.6e-13 < 2^-40.
+    So y lies in [e(1 - 2^-40), e(1 + 2^-40)], even with both ends rounded,
+    and when the ends have one ceiling it is ceil(y).  The few other n
+    (exact powers among them) get t by a binary search between the two
+    ceilings on the exact test t^q >= n^p.
+    """
+    p, q = beta.numerator, beta.denominator
+    rel = 2.0**-40  # the proven relative error bound of est
+    est = np.exp(float(beta) * np.log(n.astype(np.float64)))
+    lo = np.ceil(est * (1 - rel)).astype(np.int64)
+    t = np.ceil(est * (1 + rel)).astype(np.int64)
+    for pos in np.nonzero(lo != t)[0]:
+        target = int(n[pos]) ** p
+        a, b = int(lo[pos]), int(t[pos])
+        while a < b:
+            mid = (a + b) // 2
+            if mid**q >= target:
+                b = mid
+            else:
+                a = mid + 1
+        t[pos] = a
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +437,8 @@ def excursion_records(n_max: int) -> ExcursionReport:
 
     Works by dynamic programming over a full table: each n iterates only
     until it drops below itself, then reuses the already-computed record.
-    A bound violation is reported as data, not raised.
+    A bound violation is reported as data, not raised; an n that does not
+    drop below itself within DEFAULT_STEP_LIMIT steps raises RuntimeError.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -509,25 +450,13 @@ def excursion_records(n_max: int) -> ExcursionReport:
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
         n = np.arange(base, hi + 1, dtype=np.int64)
-        v = n.copy()
-        pmax = np.zeros(len(n), dtype=np.int64)
-        res_pmax = np.zeros(len(n), dtype=np.int64)
-        res_drop = np.zeros(len(n), dtype=np.int64)
-        idx = np.arange(len(n))
-        while len(idx):
-            odd = (v & 1).astype(bool)
-            v = np.where(odd, 3 * v + 1, v) >> 1
-            pmax = np.maximum(pmax, v)
-            dropped = v < n[idx]
-            if dropped.any():
-                di = idx[dropped]
-                res_pmax[di] = pmax[dropped]
-                res_drop[di] = v[dropped]
-                keep = ~dropped
-                idx, v, pmax = idx[keep], v[keep], pmax[keep]
-            if len(v) and v.max() > _OVERFLOW_GUARD:  # pragma: no cover
-                raise OverflowError("excursion sweep exceeded int64 guard")
-        t[base:hi + 1] = np.maximum(res_pmax, t[res_drop])
+        d = descend(n, DEFAULT_STEP_LIMIT, peak=True)
+        if len(d.unresolved):
+            raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
+                               f"below itself within {DEFAULT_STEP_LIMIT} steps")
+        if d.peak.dtype == object:  # a peak past int64, from the exact path
+            t = t.astype(object)
+        t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
     nn = np.arange(2, n_max + 1, dtype=np.int64)
     viol_idx = np.nonzero(t[2:] > 8 * nn * nn)[0]
     violations = [(int(i + 2), int(t[i + 2])) for i in viol_idx]

@@ -14,19 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .maps import t_map, trajectory, ReachedTarget, EnteredCycle
-from .stats import t_step_int
+from .maps import t_map, trajectory, ReachedTarget
 
 
 def preimages(a: int) -> set[int]:
     """All integers mapping to a in one T step: {2a} plus the odd branch
     (2a-1)/3 when it is an odd integer."""
-    out = {2 * a}
-    if (2 * a - 1) % 3 == 0:
-        y = (2 * a - 1) // 3
-        if y % 2 != 0:
-            out.add(y)
-    return out
+    return set(_children(a, pruned=False))
 
 
 def _children(x: int, pruned: bool) -> list[int]:
@@ -177,13 +171,12 @@ def reach_count(a: int, x: int, magnitude_factor: int = 64) -> int:
     if x > 10**7:
         raise ValueError("bound capped at 1e7")
     cap = max(4 * abs(a) + 16, magnitude_factor * x)
-    found = set()
     frontier = {a}
     seen = {a}
     while frontier:
         nxt = set()
         for v in frontier:
-            for c in _pre_all(v):
+            for c in _children(v, pruned=False):
                 if c not in seen and abs(c) <= cap:
                     seen.add(c)
                     nxt.add(c)
@@ -198,17 +191,6 @@ def reach_count(a: int, x: int, magnitude_factor: int = 64) -> int:
         if isinstance(tr.termination, ReachedTarget):
             found.add(n)
     return len(found)
-
-
-def _pre_all(a: int) -> set[int]:
-    """T preimages over all integers (works for negatives too)."""
-    out = {2 * a}
-    y2 = 2 * a - 1
-    if y2 % 3 == 0:
-        y = y2 // 3
-        if y % 2 != 0:
-            out.add(y)
-    return out
 
 
 # ---------------------------------------------------------------------------

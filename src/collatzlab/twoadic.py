@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional
 
 import numpy as np
 
-from .stats import t_step_int
+from .kernel import t_step, t_step_int
 
 N_MAX = 24
 
@@ -80,9 +79,8 @@ def _parity_table(n: int) -> np.ndarray:
     v = np.arange(m, dtype=np.int64)
     out = np.zeros(m, dtype=np.int64)
     for i in range(n):
-        odd = v & 1
+        v, odd = t_step(v)
         out |= odd << i
-        v = np.where(odd == 1, 3 * v + 1, v) >> 1
     return out
 
 
@@ -174,15 +172,9 @@ def conjugacy_check(n: int) -> ConjugacyReport:
     if not 4 <= n <= N_MAX:
         raise ValueError(f"n must be in 4..{N_MAX}")
     m = 1 << n
-    half = m >> 1
     x = np.arange(m, dtype=np.int64)
-    phi_n = _phi_table(n)
-    phi_prev = _phi_table(n - 1)
-    odd = (x & 1) == 1
-    s = np.where(odd, (x - 1) >> 1, x >> 1)
-    lhs_in = phi_n
-    lhs = np.where((lhs_in & 1) == 1, (3 * lhs_in + 1) >> 1, lhs_in >> 1) & (half - 1)
-    rhs = phi_prev[s]
+    lhs = t_step(_phi_table(n))[0] & ((m >> 1) - 1)
+    rhs = _phi_table(n - 1)[x >> 1]  # S(x) = x >> 1 for odd and even x alike
     bad = np.nonzero(lhs != rhs)[0]
     return ConjugacyReport(n, m, [int(b) for b in bad[:100]])
 

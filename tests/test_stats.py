@@ -277,3 +277,34 @@ def test_excursion_small_range_oracle():
 def test_csv_rows_shape():
     rows = list(sweep_csv_rows(2, 10))
     assert rows[0][0] == 2 and len(rows[0]) == 6
+
+
+@pytest.mark.parametrize("n_max, k", [(20, 8), (10**3, 1), (10**3, 2), (5000, 8),
+                                      (70000, 16), (2**22 + 12345, 21)])
+def test_sieve_naive_cutoff_and_candidates(n_max, k):
+    # only 2..max_threshold is swept naively; above it, only members of
+    # surviving classes are iterated
+    rep = verify_range(n_max, sieve_k=k)
+    sieve = class_sieve(k)
+    cutoff = min(sieve.max_threshold, n_max)
+    assert rep.verified and rep.naive_cutoff == cutoff
+    survivors = set(sieve.survivors.tolist())
+    mask = (1 << k) - 1
+    assert rep.candidates_iterated == sum(
+        1 for n in range(2, n_max + 1) if n <= cutoff or n & mask in survivors)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 3), Fraction(4, 5),
+                                  Fraction(1, 20), Fraction(999, 1000)])
+def test_power_ceiling_is_exact(beta):
+    # the least t with t^q >= n^p, over small n, exact q-th powers and their
+    # neighbours, and n near 2^62
+    from collatzlab.stats import _power_ceiling
+
+    p, q = beta.numerator, beta.denominator
+    powers = [m**q for m in range(2, 60) if m**q < 1 << 62]
+    ns = sorted(set(range(2, 1500)) | {x + d for x in powers for d in (-1, 0, 1)}
+                | {(1 << 62) - d for d in range(40)})
+    t = _power_ceiling(np.array(ns, dtype=np.int64), beta).tolist()
+    for n, tn in zip(ns, t):
+        assert tn**q >= n**p > (tn - 1) ** q
