@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .cf import FRAC_BITS, log2_3_fixed, log2_with_reciprocal_fixed
-from .maps import CycleRecord, MapSpec, three_x_plus_d
+from .maps import CycleRecord, three_x_plus_d
 
 
 def word_offset(parity: str) -> tuple[int, int]:
@@ -381,7 +381,7 @@ def cycle_length_lower_bound(
     packed_memo: dict[tuple[int, int], bool] = {}
     min_pair: Optional[tuple[int, int]] = None
     exact_checks = 0
-    block = 1 << 20
+    block = 1 << 19
     t64 = np.uint64(theta64)
     d64 = np.uint64(delta64 + 3)
 

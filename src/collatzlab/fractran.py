@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Union
+from math import lcm
+from typing import Iterator, Optional, Union
 
 from .maps import MapError, ResidueAffineMap, Trajectory, trajectory
 

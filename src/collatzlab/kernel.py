@@ -3,9 +3,10 @@ x/2 for even x, and the one overflow policy of the vectorized sweeps.
 
 Every sweep is a descent: iterate T on a batch of starts until each first
 falls below a threshold (the start itself for the stopping time; Terras
-1976).  `descend` runs it on int64 arrays; a start above GUARD, or one
-whose orbit crosses it, is run in exact Python ints instead, so every
-number it returns is exact and no caller sees an overflow.
+1976).  `descend` runs it on int64 arrays, by K-step jumps where only the
+verdict is asked for; a start above GUARD, or one whose orbit crosses it,
+is run in exact Python ints instead, so every number it returns is exact
+and no caller sees an overflow.
 """
 
 from __future__ import annotations
@@ -51,17 +52,82 @@ def descend(
     kappa: bool = False,
 ) -> Descent:
     """Iterate T on int64 starts until each first falls below its threshold
-    (default: the start itself, which no threshold may exceed), giving up
-    after step_limit steps.  The live set is compacted as starts retire.  Only the outputs
-    asked for are tracked (peak: drop and peak; kappa: steps and kappa), so
-    a bare call costs a step, a compare, a compaction and a guard test per
-    step.  kappa is the first k with 3^a < 2^k, a the odd steps among the
+    (default: the start itself), giving up after step_limit steps.  Only the
+    outputs asked for are tracked (peak: drop and peak; kappa: steps and
+    kappa).  kappa is the first k with 3^a < 2^k, a the odd steps among the
     first k; it never exceeds the stopping time.
+
+    A bare call (neither peak nor kappa) only sorts the starts into resolved
+    and unresolved, and takes its steps K = 8 at a time: T^K(2^K q + r) =
+    3^c(r) q + T^K(r), with c(r) the odd steps of r among its first K
+    (Terras 1976; Everett 1977).  An iterate below its threshold at a jump
+    boundary certifies a drop within the step limit, but a jump can pass
+    over a drop, so a start still live after step_limit // K jumps is run
+    again from the start by single steps, as is one whose iterate passes
+    the jump guard (GUARD // 3^K) << K, up to which a jump stays at most
+    GUARD + 3^K < 2^63.  A start with threshold <= 2 takes single steps
+    from the outset: its orbit may end in the cycle 1, 2, which every even
+    K jumps from 2 to 2, never below 2.
     """
+    if threshold is None:
+        threshold = starts
+    if peak or kappa:
+        return _descend_steps(starts, step_limit, threshold, peak, kappa)
+    return Descent(_descend_jumps(starts, step_limit, threshold))
+
+
+def _jump_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3^c(r), T^k(r)) for r < 2^k, c(r) the odd steps of r among its first k."""
+    v = np.arange(1 << k, dtype=np.int64)
+    c = np.zeros(1 << k, dtype=np.int64)
+    for _ in range(k):
+        v, odd = t_step(v)
+        c += odd
+    return 3**c, v
+
+
+_K = 8
+_JUMP_MUL, _JUMP_ADD = _jump_table(_K)
+
+
+def _descend_jumps(starts: np.ndarray, step_limit: int, thr: np.ndarray) -> np.ndarray:
+    """The unresolved indices of a bare `descend`, by K-step jumps."""
+    limit = (GUARD // 3**_K) << _K  # a jump from v <= limit stays <= GUARD + 3^K
+    single = thr <= 2
+    idx = np.flatnonzero(~single)
+    v, t = starts[idx], thr[idx]
+    for _ in range(step_limit // _K):
+        if not len(idx):
+            break
+        over = v > limit
+        if over.any():
+            single[idx[over]] = True
+            idx, v, t = idx[~over], v[~over], t[~over]
+        low = v & ((1 << _K) - 1)
+        v >>= _K  # in place: v is always a copy made by indexing
+        v *= _JUMP_MUL[low]
+        v += _JUMP_ADD[low]
+        stays = np.flatnonzero(v >= t)  # one index for the three compactions
+        idx, v, t = idx[stays], v[stays], t[stays]
+    single[idx] = True  # a jump may have passed over the drop of a start still live
+    rerun = np.flatnonzero(single)
+    return rerun[_descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+
+
+def _descend_steps(
+    starts: np.ndarray,
+    step_limit: int,
+    threshold: np.ndarray,
+    peak: bool = False,
+    kappa: bool = False,
+) -> Descent:
+    """`descend` by single steps: the live set is compacted as starts
+    retire, and a bare call costs a step, a compare, a compaction and a
+    guard test per step."""
     size = len(starts)
     names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
     out = {name: np.zeros(size, dtype=np.int64) for name in names}
-    live = {"idx": np.arange(size), "v": starts, "thr": starts if threshold is None else threshold}
+    live = {"idx": np.arange(size), "v": starts, "thr": threshold}
     if peak:
         live["peak"] = np.zeros(size, dtype=np.int64)
     if kappa:
@@ -89,11 +155,12 @@ def descend(
             live["kappa"][(live["kappa"] == 0) & (live["a"] <= amax)] = step
         stays = v >= live["thr"]
         if out:
-            gone = ~stays
+            gone = np.flatnonzero(~stays)
             at = live["idx"][gone]
             for name, col in out.items():
                 col[at] = step if name == "steps" else live["v" if name == "drop" else name][gone]
-        live = {k: s[stays] for k, s in live.items()}
+        keep = np.flatnonzero(stays)  # one index for every compaction
+        live = {k: s[keep] for k, s in live.items()}
 
     unresolved = live["idx"].tolist()
     for i, thr in exact:

@@ -9,7 +9,7 @@ integers the way the cycle catalogue expects ({-1}, {-5,-7,-10} and the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional, Union

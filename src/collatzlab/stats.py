@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .kernel import descend, t_step, t_step_int
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT
 
@@ -135,9 +136,11 @@ def height_and_total_stop(n: int) -> tuple[int, int]:
 @dataclass
 class ClassSieve:
     k: int
-    survivors: np.ndarray          # residues mod 2^k with no coefficient drop
+    survivors: np.ndarray          # residues mod 2^k with no coefficient drop, ascending
     survivor_counts: list[int]     # survivors mod 2^k after each step 1..k
     max_threshold: int             # largest exceptional bound of a dropped class
+    images: np.ndarray             # T^k(r) of each survivor r
+    pow3: np.ndarray               # 3^a(r), a(r) the odd steps among the first k of r
 
     def survivor_fraction(self, j: int) -> Fraction:
         return Fraction(self.survivor_counts[j - 1], 1 << self.k)
@@ -159,6 +162,11 @@ def class_sieve(k: int) -> ClassSieve:
     takes one T-step per lift of a survivor instead of one per residue.
     int64 cannot overflow for k <= 26: T^j(r) < 3^j <= 3^26 < 2^42, and
     the offset B < 3^j < 2^42, so 3v + 1 and 3B + 2^j stay below 2^45.
+
+    The sieve keeps the state each survivor r has at level k: its image
+    T^k(r) < 3^k and pow3 = 3^a(r) <= 3^k, both below 2^42.  Every member
+    n = 2^k q + r then has T^k(n) = 3^a(r) q + T^k(r), which `verify_range`
+    uses to start n at step k.
     """
     if not 1 <= k <= SIEVE_K_MAX:
         raise ValueError(f"sieve exponent must be in 1..{SIEVE_K_MAX}")
@@ -186,7 +194,7 @@ def class_sieve(k: int) -> ClassSieve:
             alive = ~dropped
             r, v, a, B = r[alive], v[alive], a[alive], B[alive]
         counts.append(len(r) << (k - j))
-    return ClassSieve(k, r, counts, max_threshold)
+    return ClassSieve(k, r, counts, max_threshold, v, pow3[a])
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +227,27 @@ class VerificationReport:
 
 
 def _verify_chunk(args) -> tuple[int, list[int]]:
-    """The n in lo..hi with n mod 2^k in offs: their count, and those with
-    no iterate below n within step_limit steps."""
-    lo, hi, offs_list, k, step_limit = args
-    offs = np.asarray(offs_list, dtype=np.int64)
-    base = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64) << k
-    n = (base[:, None] + offs[None, :]).ravel()
-    n = n[(n >= lo) & (n <= hi)]
-    return len(n), n[descend(n, step_limit).unresolved].tolist()
+    """The n in lo..hi whose residue mod 2^k survives the sieve: their
+    count, and those with no iterate below n within step_limit steps.
+
+    n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r);
+    an n whose T^k(n) could pass the kernel's GUARD is started at step 0."""
+    lo, hi, sieve, step_limit = args
+    k = sieve.k
+    q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
+    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
+    n = ((q << k) + sieve.survivors).ravel()  # ascending, as the survivors are
+    first, end = np.searchsorted(n, [lo, hi + 1]).tolist()
+    n = n[first:end]
+    if step_limit < k:  # no survivor drops within its first k steps
+        return len(n), n.tolist()
+    x = (np.minimum(q, qmax) * sieve.pow3 + sieve.images).ravel()[first:end]
+    big = (q > qmax).ravel()[first:end]
+    fails = []
+    if big.any():
+        fails = n[big][descend(n[big], step_limit).unresolved].tolist()
+        n, x = n[~big], x[~big]
+    return end - first, fails + n[descend(x, step_limit - k, n).unresolved].tolist()
 
 
 def verify_range(
@@ -247,6 +268,14 @@ def verify_range(
     of surviving classes are iterated.  The sieve loses no soundness.  Of a
     sieved report, only naive_cutoff and candidates_iterated differ from the
     earlier cutoff max(max_threshold, 2^sieve_k).
+
+    A member n of a surviving class r mod 2^sieve_k has no iterate below n
+    in its first k = sieve_k steps: T^j(n) = (3^a_j n + B_j) / 2^j with
+    B_j >= 0, and the class survived because 3^a_j > 2^j for every j <= k.
+    So n fails exactly when T^k(n) = 3^a(r) q + T^k(r), n = 2^k q + r,
+    has no iterate below n within step_limit - k steps, and every such n
+    fails when step_limit < k.  The sweep starts there, from the image and
+    3^a(r) the sieve keeps.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -266,9 +295,8 @@ def verify_range(
         failures += block[descend(block, step_limit).unresolved].tolist()
     iterated = max(cutoff - 1, 0)
     if cutoff < n_max:
-        offs = sieve.survivors.tolist()
         span = max(1 << 22, 1 << sieve_k)
-        spans = [(lo, min(lo + span - 1, n_max), offs, sieve_k, step_limit)
+        spans = [(lo, min(lo + span - 1, n_max), sieve, step_limit)
                  for lo in range(max(cutoff, 1) + 1, n_max + 1, span)]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -446,7 +474,7 @@ def excursion_records(n_max: int) -> ExcursionReport:
         raise ValueError("table-based excursion sweep capped at 2e8")
     t = np.zeros(n_max + 1, dtype=np.int64)
     t[1] = 2
-    block = 1 << 20
+    block = 1 << 19
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
         n = np.arange(base, hi + 1, dtype=np.int64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .maps import t_map, trajectory, ReachedTarget
+from .maps import EnteredCycle, ReachedTarget, t_map, trajectory
 
 
 def preimages(a: int) -> set[int]:
@@ -166,7 +166,9 @@ def reach_count(a: int, x: int, magnitude_factor: int = 64) -> int:
     """How many n with |n| <= x have a in their forward T orbit.
 
     Reverse breadth-first search from a with a magnitude cap, then a forward
-    fallback for the stragglers the cap may have missed.
+    fallback for the stragglers the cap may have missed.  A straggler whose
+    forward run stops at a step or magnitude limit, neither reaching a nor
+    entering a cycle, is unresolved: RuntimeError names the first one.
     """
     if x > 10**7:
         raise ValueError("bound capped at 1e7")
@@ -190,6 +192,9 @@ def reach_count(a: int, x: int, magnitude_factor: int = 64) -> int:
                         record_iterates=False)
         if isinstance(tr.termination, ReachedTarget):
             found.add(n)
+        elif not isinstance(tr.termination, EnteredCycle):
+            raise RuntimeError(f"reach_count: n={n} is unresolved, its forward run stopped "
+                               f"at {type(tr.termination).__name__} after {tr.steps} steps")
     return len(found)
 
 

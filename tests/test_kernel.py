@@ -5,12 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatzlab import coeffstop, kernel, stats
 from collatzlab.coeffstop import coeff_stop_record, verify_coefficient_conjecture
 from collatzlab.kernel import GUARD, descend, t_step_int
-from collatzlab.stats import below_power_density, excursion_records, stats_record, verify_range
+from collatzlab.maps import t_map, trajectory
+from collatzlab.stats import (
+    _power_ceiling,
+    _verify_chunk,
+    below_power_density,
+    class_sieve,
+    excursion_records,
+    stats_record,
+    verify_range,
+)
+
+K = kernel._K
+JUMP_GUARD = (GUARD // 3**K) << K
 
 
 def _reports():
@@ -74,3 +86,79 @@ def test_step_limit_policies(monkeypatch):
     monkeypatch.setattr(coeffstop, "DEFAULT_STEP_LIMIT", 50)
     with pytest.raises(RuntimeError, match="n=27 "):
         coeffstop._sweep_for_disagreement(100, 10)
+
+
+def first_below(n, thr, step_limit):
+    """The first j in 1..step_limit with T^j(n) < thr, else None."""
+    x = n
+    for j in range(1, step_limit + 1):
+        x = t_step_int(x)
+        if x < thr:
+            return j
+    return None
+
+
+bare_starts = st.one_of(
+    st.integers(2, 2**K),
+    st.integers(2, 10**6),
+    st.integers(JUMP_GUARD - 2**20, JUMP_GUARD + 2**20),
+    st.integers(GUARD - 2**20, GUARD + 2**20),
+)
+thresholds = st.sampled_from(["start", "jump", 1, 2, Fraction(1, 2), Fraction(4, 5),
+                             Fraction(1, 20)])
+
+
+def test_jump_table():
+    # T^K(2^K q + r) = 3^c(r) q + T^K(r), in Python ints
+    for r in range(1 << K):
+        for q in (0, 1, 12345, GUARD >> K):
+            x = (q << K) + r
+            for _ in range(K):
+                x = t_step_int(x)
+            assert x == int(kernel._JUMP_MUL[r]) * q + int(kernel._JUMP_ADD[r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(bare_starts, thresholds), min_size=1, max_size=6),
+       st.integers(0, 400))
+@example([(3 << K, "jump")], K)  # lands on its threshold 3 at the first boundary
+def test_bare_descend_matches_single_steps(cases, step_limit):
+    # the jump path against scalar single steps: thresholds <= 2 (n = 2
+    # among the starts), exact n^beta ceilings, the start itself and the
+    # iterate at the first jump boundary, with starts on both sides of the
+    # jump guard and of GUARD
+    ns = np.array([n for n, _ in cases], dtype=np.int64)
+    thr = []
+    for n, kind in cases:
+        if isinstance(kind, Fraction):
+            kind = int(_power_ceiling(np.array([n], dtype=np.int64), kind)[0])
+        elif kind == "jump":
+            x = n
+            for _ in range(K):
+                x = t_step_int(x)
+            kind = x if x < 2**63 else n
+        thr.append(n if kind == "start" else kind)
+    got = set(descend(ns, step_limit, np.array(thr, dtype=np.int64)).unresolved.tolist())
+    assert got == {i for i, (n, t) in enumerate(zip(ns.tolist(), thr))
+                   if first_below(n, t, step_limit) is None}
+    if all(kind == "start" for _, kind in cases):
+        assert got == set(descend(ns, step_limit).unresolved.tolist())
+    for n, kind in cases:
+        if kind == "start":
+            rec = stats_record(n)
+            assert first_below(n, n, 10**4) == rec.stopping_time
+            assert trajectory(t_map(), n, target_set={1}).steps == rec.total_stopping_time
+
+
+# the first window holds the n whose T^8(n) = 3^6 q + T^8(r) crosses GUARD,
+# the others the n that themselves sit just below and above it
+@pytest.mark.parametrize("lo", [((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 1])
+@pytest.mark.parametrize("step_limit", [0, 7, 8, 9, 59, 1000])
+def test_survivor_start_chunk_near_guard(lo, step_limit):
+    sieve = class_sieve(8)
+    hi = lo + 2**12 - 1
+    survivors = set(sieve.survivors.tolist())
+    members = [n for n in range(lo, hi + 1) if n & 255 in survivors]
+    count, fails = _verify_chunk((lo, hi, sieve, step_limit))
+    assert count == len(members)
+    assert sorted(fails) == [n for n in members if first_below(n, n, step_limit) is None]

@@ -102,6 +102,20 @@ def test_verify_sieve_matches_naive():
     assert verify_range(10**5, mode="naive").verified
 
 
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 21])
+def test_sieve_failures_match_naive_at_step_limits(k):
+    # a sieved sweep, which starts survivors at step k, reports exactly the
+    # naive failures it iterates: those up to the cutoff and the members of
+    # surviving classes
+    n_max = 10**5
+    survivors = set(class_sieve(k).survivors.tolist())
+    for limit in sorted({0, 5, k - 1, k, k + 1, 30, 59}):
+        naive = verify_range(n_max, mode="naive", step_limit=limit).failures
+        rep = verify_range(n_max, sieve_k=k, step_limit=limit)
+        assert rep.failures == [n for n in naive
+                                if n <= rep.naive_cutoff or n % (1 << k) in survivors]
+
+
 def test_sieve_survivor_fraction_k2():
     rep = verify_range(10**3, mode="sieve", sieve_k=2)
     assert rep.survivor_fractions[2] == "1/4"

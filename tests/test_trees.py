@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from collatzlab import maps, trees
 from collatzlab.stats import t_step_int
 from collatzlab.trees import (
     extremal_spread,
@@ -106,6 +107,14 @@ def test_growth_bracket_k30_sample():
 def test_reach_count_one():
     assert reach_count(1, 100) == 100
     assert reach_count(1, 1) == 1
+
+
+def test_reach_count_raises_at_a_limit(monkeypatch):
+    # a forward run that stops at its step limit is unresolved, not a "no"
+    monkeypatch.setattr(trees, "trajectory",
+                        lambda *a, **kw: maps.trajectory(*a, **{**kw, "step_limit": 2}))
+    with pytest.raises(RuntimeError, match="n=-20 "):
+        reach_count(1, 20)
 
 
 def test_reach_count_negative_cycle():
