@@ -126,35 +126,45 @@ class CoeffStopReport:
         }
 
 
-def _dominating_offset_maxima(k_max: int) -> list[tuple[int, int, int]]:
+def _crossing_maxima(k_max: int) -> list[tuple[int, int, int]]:
     """For every first-crossing pair (a, k <= k_max), the exact maximum of
     the additive term B over parity words whose prefixes all keep the
-    coefficient at or above 1.
+    coefficient at or above 1 (dominated words).
 
-    Returns (a, k, B_max) triples.  A word first crosses at k only via an
-    even step, so the DP harvests even-step children that would violate
-    prefix domination.
+    Returns (a, k, B_max) triples in increasing k from one pass along the
+    latest-odd-step word g, which is even at position j while 3^a >=
+    2^(j+1) and odd otherwise.  Its odd count over positions 0..j-1 is the
+    least a_j with 3^(a_j) >= 2^j, and an odd step at position j maps the
+    offset B to 3B + 2^j (Terras 1976; Everett 1977).
+
+    Pairs: a dominated word of length j crosses with an even step exactly
+    when its odd count a has 2^j <= 3^a < 2^(j+1).  That a-interval is
+    shorter than 1 / log2 3 < 1, so at most one a is dangerous per k, and
+    since 3^(a_j + 1) >= 3 * 2^j it is a_j.  So the crossing pairs are the
+    j where g would cross, and g records each just before its odd step.
+
+    Maxima (exchange argument): let w be another dominated word of length
+    j and write c_t for its odd count over positions 0..t-1, so c_t >= a_t
+    with equality at t = j.  Take the largest t with c_t > a_t and the last
+    odd position m < t of w.  Since c_(t+1) = a_(t+1) <= a_t + 1, w is even
+    at positions m+1..t, and c_(m+1) = c_t > a_t >= a_(m+1).  Turning w's
+    "10" at positions m, m+1 into "01" lowers only c_(m+1), by one, so the
+    word stays dominated with the same a.  Over those two positions the
+    offset goes from 3B + 2^m to 3B + 2^(m+1), and every later position
+    maps B to B or to 3B + 2^s, both increasing in B, so the offset grows.
+    Each exchange moves an odd step later, so repeating them ends at g,
+    whose offset is therefore the maximum.
     """
-    pow3 = [1]
-    while len(pow3) < k_max + 4:
-        pow3.append(pow3[-1] * 3)
     out: list[tuple[int, int, int]] = []
-    cur: dict[int, int] = {0: 0}
+    a = B = 0
+    p3 = 1  # 3^a
     for j in range(k_max):
-        nxt: dict[int, int] = {}
-        for a, B in cur.items():
-            # odd step: coefficient gains a factor 3/2, never crosses
-            B2 = 3 * B + (1 << j)
-            prev = nxt.get(a + 1, -1)
-            if B2 > prev:
-                nxt[a + 1] = B2
-            # even step: crossing happens exactly when 3^a < 2^(j+1)
-            if pow3[a] < (1 << (j + 1)):
-                out.append((a, j + 1, B))
-            else:
-                if B > nxt.get(a, -1):
-                    nxt[a] = B
-        cur = nxt
+        if p3 >= 1 << (j + 1):
+            continue  # an even step keeps 3^a >= 2^(j+1)
+        out.append((a, j + 1, B))  # an even step would cross here
+        B = 3 * B + (1 << j)
+        a += 1
+        p3 *= 3
     return out
 
 
@@ -177,27 +187,27 @@ def verify_coefficient_conjecture(
         raise ValueError("k_max must be >= 1")
     if k_max > k_cap:
         raise ValueError(f"k_max exceeds configured cap {k_cap}")
-    triples = _dominating_offset_maxima(k_max)
-    pairs: list[DangerousPair] = []
-    bound = 0
-    for a, k, B in triples:
+    ranked = []
+    for a, k, B in _crossing_maxima(k_max):
         den = (1 << k) - 3**a
-        nb = B // den
-        pairs.append(
-            DangerousPair(
-                odd_steps=a,
-                k=k,
-                gap=str(den),
-                max_offset_numerator=str(B),
-                counterexample_bound=nb,
-                inequality_chain=(
-                    f"n*(2^{k} - 3^{a}) <= B_max = {B} with 2^{k} - 3^{a} = {den}, "
-                    f"so n <= {nb}"
-                ),
-            )
+        ranked.append((B // den, a, k, B, den))
+    ranked.sort(key=lambda r: -r[0])  # stable: ties stay in increasing k
+    bound = ranked[0][0]  # k_max >= 1 always records (0, 1, 0)
+    # only the 64 largest bounds are reported, so only they get decimal strings
+    pairs = [
+        DangerousPair(
+            odd_steps=a,
+            k=k,
+            gap=str(den),
+            max_offset_numerator=str(B),
+            counterexample_bound=nb,
+            inequality_chain=(
+                f"n*(2^{k} - 3^{a}) <= B_max = {B} with 2^{k} - 3^{a} = {den}, "
+                f"so n <= {nb}"
+            ),
         )
-        bound = max(bound, nb)
-    pairs.sort(key=lambda p: -p.counterexample_bound)
+        for nb, a, k, B, den in ranked[:64]
+    ]
     if verified_conjecture_bound is not None and bound > verified_conjecture_bound:
         raise ValueError(
             "search bound exceeds the stated verified-conjecture bound; "
@@ -213,7 +223,7 @@ def verify_coefficient_conjecture(
         k_max=k_max,
         verified=not counterexamples,
         search_bound=bound,
-        pairs=pairs[:64],
+        pairs=pairs,
         counterexamples=counterexamples,
         swept=bound,
         convergent_denominators=dens,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -99,8 +100,6 @@ def rational_cycles_3xd(d: int, max_period: int) -> RationalCycleReport:
         raise ValueError("d must be odd, positive, and coprime to 3 (d = +/-1 mod 6)")
     if max_period > 40:
         raise ValueError("necklace enumeration capped at period 40")
-    from math import gcd
-
     found: dict[tuple[int, ...], CycleRecord] = {}
     for period in range(1, max_period + 1):
         for word in _necklace_words(period):
@@ -304,6 +303,104 @@ def packed_bound_exceeds_exact(n: int, p: int, D: int) -> bool:
     raise ArithmeticError("packed-bound interval failed to separate")
 
 
+_M64 = 1 << 64
+
+
+def _first_multiple_hit(a: int, m: int, l: int, r: int) -> Optional[int]:
+    """Least x >= 0 with l <= a*x mod m <= r, for 0 <= a < m and
+    0 <= l <= r < m, or None when there is none.  Euclid's descent:
+    O(log m) calls."""
+    if l == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-l // a)
+    if a * x <= r:  # hit on the first lap; a later lap needs a*x >= m > r
+        return x
+    # [l, r] lies strictly between two multiples of a.  Lap y (a*x - m*y in
+    # [l, r]) has a hit iff m*y mod a is in [a - r % a, a - l % a], and x
+    # grows with y, so the least such y gives the least x.
+    y = _first_multiple_hit(m % a, a, a - r % a, a - l % a)
+    return None if y is None else -(-(l + m * y) // a)
+
+
+def _first_hit(a: int, b: int, lo: int, hi: int) -> Optional[int]:
+    """Least k >= 0 with lo <= (a*k + b) mod 2^64 <= hi, or None."""
+    l, r = (lo - b) % _M64, (hi - b) % _M64
+    if l > r:  # the shifted interval wraps past 0: b itself lies in [lo, hi]
+        return 0
+    return _first_multiple_hit(a % _M64, _M64, l, r)
+
+
+def _band_hits(lo: int, hi: int, theta: int, width: int) -> Iterator[tuple[int, int]]:
+    """The n in [lo, hi] whose residue n*theta mod 2^64 lies in the top band
+    [2^64 - width, 2^64), ascending, as (n, offset of the residue into the
+    band), in O(hits + log 2^64) steps, for width <= 2^63.  theta is odd,
+    so n -> n*theta is a bijection mod 2^64 and every search below finds
+    its residue.
+
+    Successive hits are walked by the three-distance theorem for return
+    times (V. T. Sós 1958; Slater 1967).  On the band, with y the offset of a hit, a shift by t moves y by the
+    signed residue s(t) of t*theta, and a return needs |s(t)| < width.  Let
+    t+ be the least t >= 1 with 0 <= s(t) < width (s = alpha) and t- the
+    least with -width < s(t) < 0 (s = -beta).  Then alpha + beta >= width,
+    or t+ - t- (or t- - t+) would be a shorter shift of the same kind.  The
+    next hit after y is:
+
+    * y + alpha after t+, if y + alpha < width.  No t < t+ lands: a
+      forward shift is minimal at t+, and a backward one below t+ has
+      |s| >= beta > y, since otherwise t - t- < t+ would shift by
+      s + beta in (0, beta).
+    * else y - beta after t-, if y >= beta; symmetric.
+    * else y + alpha - beta after t+ + t-, which lies in [0, width).  A t
+      below that landing forward has s(t) < alpha, so t - t+ < t- shifts
+      backward by s(t) - alpha in (-width, 0); one landing backward has
+      |s(t)| < beta, so t - t- < t+ shifts forward by s(t) + beta in
+      (0, width).  Both contradict minimality.
+    """
+    base = _M64 - width
+    t_fwd = 1 + _first_hit(theta, theta, 0, width - 1)
+    t_bwd = 1 + _first_hit(theta, theta, base + 1, _M64 - 1)
+    alpha = t_fwd * theta % _M64
+    beta = _M64 - t_bwd * theta % _M64
+    n = lo + _first_hit(theta, lo * theta, base, _M64 - 1)
+    y = n * theta % _M64 - base
+    while n <= hi:
+        yield n, y
+        if y + alpha < width:
+            n, y = n + t_fwd, y + alpha
+        elif y >= beta:
+            n, y = n + t_bwd, y - beta
+        else:
+            n, y = n + t_fwd + t_bwd, y + alpha - beta
+
+
+def _window_candidates(theta: int, d: int, lo: int, hi: int) -> Iterator[int]:
+    """The n in [lo, hi] (lo >= 1), ascending, with 2^64 - 1 -
+    (n*theta mod 2^64) < n*d + 8, for d < 2^64, listed per dyadic range
+    [2^i, 2^(i+1)) from the band of the range's largest width
+    2^(i+1)*d + 8.
+
+    A band wider than half the circle catches about half of the range or
+    more, so there each n is tested, in uint64 blocks: the residue wraps
+    mod 2^64 exactly, and gap < n*d + 8 is decided as gap < 8 or
+    floor((gap - 8) / d) < n, so n*d is never formed."""
+    i = lo.bit_length() - 1
+    while 1 << i <= hi:
+        width = (2 << i) * d + 8
+        a, b = max(lo, 1 << i), min((2 << i) - 1, hi)
+        if 2 * width > _M64:
+            for start in range(a, b + 1, 1 << 16):
+                n = np.arange(start, min(start + (1 << 16), b + 1), dtype=np.uint64)
+                gap = ~(n * np.uint64(theta))  # 2^64 - 1 - residue
+                yield from n[(gap < 8) | ((gap - np.uint64(8)) // np.uint64(d) < n)].tolist()
+        else:
+            for n, y in _band_hits(a, b, theta, width):
+                if width - 1 - y < n * d + 8:  # 2^64 - 1 - residue < n*d + 8
+                    yield n
+        i += 1
+
+
 @dataclass
 class CycleBoundReport:
     verification_bound: int            # D: conjecture assumed checked below D
@@ -353,9 +450,14 @@ def cycle_length_lower_bound(
     best_packed_min_element(n, p) > D, which prunes window-feasible pairs
     whose best possible minimal element is still inside the verified range.
 
-    Windows are scanned with a wrap-around 64-bit fixed-point prefilter (a
-    certified superset), candidates are settled against 192-bit directed
-    bounds, and boundary straddles fall back to exact power comparisons.
+    Window candidates are listed, not scanned.  With theta the top 64
+    fractional bits of a lower bound on log2 3 and d a 64-bit ceiling on the
+    window width log2(1 + 1/(3D)) (plus slack), a feasible n has
+    2^64 - 1 - (n*theta mod 2^64) < n*d + 8, a certified superset.  For n
+    in [2^i, 2^(i+1)) those residues lie in a band of width 2^(i+1)*d + 8
+    below 2^64, and _band_hits walks the n landing there in O(hits) steps.
+    Candidates are settled against 192-bit directed bounds, and boundary
+    straddles fall back to exact power comparisons.
 
     With first_only the scan stops at the minimal pair, so feasible_periods
     lists only the periods for n <= min_odd_terms and scanned_odd_terms is
@@ -365,7 +467,6 @@ def cycle_length_lower_bound(
     D = verification_bound
     if D < 2:
         raise ValueError("verification bound must be >= 2")
-    from math import gcd
 
     lo3, hi3 = log2_3_fixed(FRAC_BITS)
     loD, hiD = log2_with_reciprocal_fixed(D, FRAC_BITS)
@@ -381,9 +482,6 @@ def cycle_length_lower_bound(
     packed_memo: dict[tuple[int, int], bool] = {}
     min_pair: Optional[tuple[int, int]] = None
     exact_checks = 0
-    block = 1 << 19
-    t64 = np.uint64(theta64)
-    d64 = np.uint64(delta64 + 3)
 
     def window_feasible(nn: int) -> Optional[int]:
         nonlocal exact_checks
@@ -406,30 +504,18 @@ def cycle_length_lower_bound(
             packed_memo[key] = packed_bound_exceeds(*key, D)
         return packed_memo[key]
 
-    base = 1
-    scanned = 0
-    while base <= n_cap:
-        hi = int(min(base + block - 1, n_cap))
-        n = np.arange(base, hi + 1, dtype=np.uint64)
-        r = n * t64                      # wraps: fractional part in 2^-64 units
-        sel = np.invert(r) < n * d64 + np.uint64(8)
-        scanned = hi
-        for nn in n[sel].tolist():
-            p = window_feasible(nn)
-            if p is None:
-                continue
-            feasible.append((nn, p))
-            if min_pair is None:
-                if packed_ok(nn, p):
-                    min_pair = (nn, p)
-                    if first_only:
-                        scanned = nn
-                        break
-                else:
-                    rejections.append((nn, p))
-        if first_only and min_pair is not None:
-            break
-        base = hi + 1
+    for nn in _window_candidates(theta64, delta64 + 3, 1, n_cap):
+        p = window_feasible(nn)
+        if p is None:
+            continue
+        feasible.append((nn, p))
+        if min_pair is None:
+            if packed_ok(nn, p):
+                min_pair = (nn, p)
+                if first_only:
+                    break
+            else:
+                rejections.append((nn, p))
 
     feasible.sort()
     periods = sorted({p for _, p in feasible if p <= period_cutoff})
@@ -439,7 +525,7 @@ def cycle_length_lower_bound(
         min_period=min_pair[1] if min_pair else None,
         feasible_periods=periods,
         period_cutoff=period_cutoff,
-        scanned_odd_terms=scanned,
+        scanned_odd_terms=min_pair[0] if first_only and min_pair else n_cap,
         window_constants_hex={
             "log2_3": hex(lo3),
             "log2_3_plus_1_over_D": hex(loD),

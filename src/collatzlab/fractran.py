@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Union
 
-from .maps import MapError, ResidueAffineMap, Trajectory, trajectory
+from .maps import MapError, ResidueAffineMap, Trajectory, _affine, trajectory
 
 #: Conway's prime-producing program, from his FRACTRAN paper ("FRACTRAN: a
 #: simple universal programming language for arithmetic", Open Problems in
@@ -224,8 +224,6 @@ def fractran_as_multiplier_map(prog: FractranProgram) -> ResidueAffineMap:
     N = lcm(*[f.denominator for f in prog.fractions])
     if N > 10**6:
         raise MapError("modulus too large to tabulate")
-    from fractions import Fraction as F
-
     rows = []
     for r in range(N):
         mult = None
@@ -235,9 +233,7 @@ def fractran_as_multiplier_map(prog: FractranProgram) -> ResidueAffineMap:
                 break
         if mult is None:
             raise MapError(f"no fraction applies to residue {r}; map is partial")
-        rows.append((mult, F(0)))
-    from .maps import _affine
-
+        rows.append((mult, Fraction(0)))
     return _affine(N, rows, "fractran-linear")
 
 

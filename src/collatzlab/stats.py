@@ -474,6 +474,9 @@ def excursion_records(n_max: int) -> ExcursionReport:
         raise ValueError("table-based excursion sweep capped at 2e8")
     t = np.zeros(n_max + 1, dtype=np.int64)
     t[1] = 2
+    violations = []
+    champs = []
+    best = 0
     block = 1 << 19
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
@@ -484,18 +487,14 @@ def excursion_records(n_max: int) -> ExcursionReport:
                                f"below itself within {DEFAULT_STEP_LIMIT} steps")
         if d.peak.dtype == object:  # a peak past int64, from the exact path
             t = t.astype(object)
-        t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
-    nn = np.arange(2, n_max + 1, dtype=np.int64)
-    viol_idx = np.nonzero(t[2:] > 8 * nn * nn)[0]
-    violations = [(int(i + 2), int(t[i + 2])) for i in viol_idx]
-    running = np.maximum.accumulate(t[2:])
-    champs = []
-    best = 0
-    for i in np.nonzero(t[2:] == running)[0]:
-        val = int(t[i + 2])
-        if val > best:
-            champs.append((int(i + 2), val))
-            best = val
+        # every drop is below base, so the block's entries are final here and
+        # the bound check and champion scan need no full-length temporaries
+        tb = t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
+        violations.extend((int(i + base), int(tb[i])) for i in np.nonzero(tb > 8 * n * n)[0])
+        for i in np.nonzero(tb == np.maximum.accumulate(tb))[0]:
+            if tb[i] > best:
+                best = int(tb[i])
+                champs.append((int(i + base), best))
     return ExcursionReport(n_max, champs, violations)
 
 

@@ -13,6 +13,32 @@ from collatzlab.coeffstop import (
 from collatzlab.stats import t_step_int
 
 
+def dominating_offset_maxima_dp(k_max):
+    """The big-integer DP over (j, a) that keeps the largest offset B of
+    every dominated parity word for each odd count a, harvesting the
+    even-step children that would cross (the reference for the one-pass
+    construction in coeffstop)."""
+    pow3 = [1]
+    while len(pow3) < k_max + 4:
+        pow3.append(pow3[-1] * 3)
+    out = []
+    cur = {0: 0}
+    for j in range(k_max):
+        nxt = {}
+        for a, B in cur.items():
+            # odd step: coefficient gains a factor 3/2, never crosses
+            B2 = 3 * B + (1 << j)
+            if B2 > nxt.get(a + 1, -1):
+                nxt[a + 1] = B2
+            # even step: crossing happens exactly when 3^a < 2^(j+1)
+            if pow3[a] < (1 << (j + 1)):
+                out.append((a, j + 1, B))
+            elif B > nxt.get(a, -1):
+                nxt[a] = B
+        cur = nxt
+    return out
+
+
 def test_record_2():
     r = coeff_stop_record(2)
     assert r.k == 1
@@ -71,6 +97,18 @@ def test_dangerous_pairs_follow_convergents():
     # intermediate-convergent denominators (41+53, 94+53, 147+41...)
     assert set(top_a) <= {41, 53, 94, 135, 147, 176, 188, 229, 241, 282}
     assert any(q in (41, 53) for q in rep.convergent_denominators)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 50, 300, 1200])
+def test_crossing_maxima_match_dp(k_max):
+    assert coeffstop._crossing_maxima(k_max) == dominating_offset_maxima_dp(k_max)
+
+
+def test_verify_2000_search_bound():
+    rep = verify_coefficient_conjecture(2000)
+    assert rep.verified and not rep.counterexamples
+    assert rep.search_bound == rep.swept == 238670
+    assert len(rep.pairs) == 64
 
 
 def test_kappa_residue_classes():

@@ -1,10 +1,18 @@
 """Cycle values, rational cycles, circuit equation, cycle-length bounds."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from collatzlab.cf import FRAC_BITS, log2_3_fixed, log2_with_reciprocal_fixed
 from collatzlab.cycles import (
+    _band_hits,
+    _first_multiple_hit,
+    _window_candidates,
     circuit_solutions,
     cycle_length_lower_bound,
     cycle_value,
@@ -105,6 +113,125 @@ def test_circuit_negative_h():
 
 # ------------------------------------------------------------ cycle bounds
 
+def window_constants(D):
+    """theta and d as cycle_length_lower_bound derives them from D."""
+    lo3, _ = log2_3_fixed(FRAC_BITS)
+    _, hiD = log2_with_reciprocal_fixed(D, FRAC_BITS)
+    theta = (lo3 >> (FRAC_BITS - 64)) & ((1 << 64) - 1)
+    return theta, ((hiD - lo3) >> (FRAC_BITS - 64)) + 5
+
+
+def numpy_prefilter(theta, d, lo, hi):
+    """The uint64 block scan that the listing replaced; its products wrap
+    mod 2^64, so it is a reference only where n*d + 8 < 2^64."""
+    n = np.arange(lo, hi + 1, dtype=np.uint64)
+    sel = np.invert(n * np.uint64(theta)) < n * np.uint64(d) + np.uint64(8)
+    return n[sel].tolist()
+
+
+def test_first_multiple_hit_brute_force():
+    for m in range(1, 25):
+        for a in range(m):
+            seen = [a * x % m for x in range(m + 1)]
+            for l in range(m):
+                for r in range(l, m):
+                    want = next((x for x, v in enumerate(seen) if l <= v <= r), None)
+                    assert _first_multiple_hit(a, m, l, r) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.integers(0, 2**63 - 1).map(lambda t: 2 * t + 1),
+    shift=st.integers(1, 40),
+    jitter=st.integers(-(2**20), 2**20),
+    lo=st.integers(1, 2**40),
+    span=st.integers(0, 3000),
+)
+@example(theta=1, shift=1, jitter=0, lo=1, span=3000)  # band of exactly half the circle
+@example(theta=2**64 - 1, shift=12, jitter=0, lo=1, span=3000)
+# the least backward shift is -(width - 1), taken from the band's top offset
+@example(theta=2**64 - 2**24 + 1, shift=40, jitter=0, lo=pow(2**24 - 1, -1, 2**64), span=3000)
+def test_band_hits_match_brute_force(theta, shift, jitter, lo, span):
+    width = min(max(1, (1 << 64 >> shift) + jitter), 2**63)
+    base = 2**64 - width
+    want = [(n, n * theta % 2**64 - base) for n in range(lo, lo + span + 1)
+            if n * theta % 2**64 >= base]
+    assert list(_band_hits(lo, lo + span, theta, width)) == want
+
+
+@pytest.mark.parametrize("shift", [3, 8, 13])
+def test_band_hits_on_case_boundaries(shift):
+    # start the walk at hits whose offset sits on either side of the walk's
+    # case boundaries: y = beta and y + alpha = width
+    theta = 0x95C01A39FBD6879F
+    width = 1 << 64 >> shift
+    base = 2**64 - width
+    t_fwd = next(t for t in itertools.count(1) if t * theta % 2**64 < width)
+    t_bwd = next(t for t in itertools.count(1) if t * theta % 2**64 > base)
+    alpha, beta = t_fwd * theta % 2**64, 2**64 - t_bwd * theta % 2**64
+    inverse = pow(theta, -1, 2**64)
+    span = 2 * (t_fwd + t_bwd)
+    for y in (beta - 1, beta, width - alpha - 1, width - alpha):
+        lo = (base + y) * inverse % 2**64  # the n whose offset is y
+        want = [(n, n * theta % 2**64 - base) for n in range(lo, lo + span + 1)
+                if n * theta % 2**64 >= base]
+        assert want[0] == (lo, y)
+        assert list(_band_hits(lo, lo + span, theta, width)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.integers(0, 2**63 - 1).map(lambda t: 2 * t + 1),
+    d=st.one_of(st.integers(1, 2**64 - 1), st.integers(1, 2**20)),
+    lo=st.one_of(st.integers(1, 2**30), st.integers(1, 64)),
+    span=st.integers(0, 2000),
+)
+# theta = -k mod 2^64 gives gap = k*n - 1, which these put on the edges of
+# both tests: gap = 7 in a wide band, gap = n*d + 8 in a narrow one, and
+# floor((gap - 8) / d) = n in a wide one
+@example(theta=2**64 - 1, d=2**60, lo=1, span=2000)
+@example(theta=2**64 - 3, d=2, lo=1, span=2000)
+@example(theta=2**64 - 2**60 - 1, d=2**60, lo=1, span=2000)
+def test_listing_matches_exact_predicate(theta, d, lo, span):
+    # any d, including the widths where n*d + 8 passes 2^64
+    want = [n for n in range(lo, lo + span + 1)
+            if 2**64 - 1 - n * theta % 2**64 < n * d + 8]
+    assert list(_window_candidates(theta, d, lo, lo + span)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2**20, 2**62), st.data())
+@example(2**20, None)
+@example(2**40, None)
+def test_listing_matches_numpy_prefilter(D, data):
+    theta, d = window_constants(D)
+    top = min(2**26, (2**64 - 9) // d)  # below top, n*d + 8 does not wrap
+    if data is None:  # the top of the no-wrap range
+        lo, hi = top - 2**15, top
+    else:
+        lo = data.draw(st.integers(1, top), label="lo")
+        hi = data.draw(st.integers(lo, min(top, lo + 2**15)), label="hi")
+    assert list(_window_candidates(theta, d, lo, hi)) == numpy_prefilter(theta, d, lo, hi)
+
+
+@pytest.mark.parametrize("D, count", [(2, 6307), (5, 6305), (10, 6299), (100, 6207),
+                                      (1000, 5271)])
+def test_feasible_periods_against_exact_oracle(D, count):
+    # the uint64 scan dropped about half of these once n*d wrapped (n above
+    # about 3 D ln 2), listing 3,143 periods at D = 2 and 3,133 at D = 100
+    cutoff = 10**4
+    rep = cycle_length_lower_bound(D, period_cutoff=cutoff)
+    want = set()
+    pow3 = powD = powQ = 1
+    for n in range(1, rep.scanned_odd_terms + 1):
+        pow3, powD, powQ = 3 * pow3, D * powD, (3 * D + 1) * powQ
+        p = pow3.bit_length()  # the least p with 2^p > 3^n
+        if p <= cutoff and (powD << p) < powQ:  # 2^p < (3 + 1/D)^n
+            want.add(p)
+    assert rep.feasible_periods == sorted(want)
+    assert len(want) == count
+
+
 def test_bound_small_D():
     rep = cycle_length_lower_bound(2, period_cutoff=100)
     assert rep.min_period == 5 and rep.min_odd_terms == 3
@@ -123,6 +250,14 @@ def test_bound_2_40_first():
     rep = cycle_length_lower_bound(2**40, first_only=True)
     assert rep.min_odd_terms == 10781274
     assert rep.min_period == 17087915
+
+
+def test_bound_2_40_full_scan():
+    rep = cycle_length_lower_bound(2**40, period_cutoff=10**8)
+    assert len(rep.feasible_periods) == 809
+    assert (rep.min_odd_terms, rep.min_period) == (10781274, 17087915)
+    assert rep.scanned_odd_terms == 63092977
+    assert rep.boundary_exact_checks == 0
 
 
 def test_bound_halbeisen_value():

@@ -1,5 +1,6 @@
 """Source hygiene of the package, checked with the standard library alone:
-every name a module imports is referenced somewhere in that module."""
+every name a module imports is referenced somewhere in that module, and
+every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,26 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Imports inside a function or class body."""
+    tree = ast.parse(source)
+    found = []
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{scope.name} (line {node.lineno})")
+    return found
+
+
+def test_scan_finds_a_nested_import():
+    source = ("import math\n\ndef f(x):\n    if x:\n        from math import gcd\n"
+              "        return gcd(x, 6)\n    return math.e\n")
+    assert nested_imports(source) == ["f (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_imports(path):
+    assert nested_imports(path.read_text()) == []

@@ -1,0 +1,55 @@
+"""Reports validate against the JSON Schemas shipped in collatzlab/schemas,
+one file per schema id stamped into to_dict()."""
+
+import json
+from importlib.resources import files
+
+import pytest
+from jsonschema import Draft202012Validator, ValidationError
+
+from collatzlab.coeffstop import verify_coefficient_conjecture
+from collatzlab.cycles import cycle_length_lower_bound
+
+
+def validator(schema_id):
+    name = schema_id.removeprefix("collatzlab/") + ".json"
+    schema = json.loads((files("collatzlab") / "schemas" / name).read_text())
+    Draft202012Validator.check_schema(schema)
+    assert schema["title"] == schema_id
+    return Draft202012Validator(schema)
+
+
+def as_json(report):
+    """The report as a consumer reads it: tuples become arrays."""
+    return json.loads(json.dumps(report.to_dict()))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 60, 300, 2000])
+def test_coeffstop_verify_reports(k_max):
+    doc = as_json(verify_coefficient_conjecture(k_max))
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("D, cutoff, first_only", [
+    (2, 2 * 10**6, True),
+    (1000, 10**4, False),
+    (2**40, 10**8, False),
+    (2**40 + 1, 10**8, False),
+    (2**40, 10**9, True),
+    (2**40, 10**7, False),  # no feasible period: null minimal pair
+])
+def test_cycle_bound_reports(D, cutoff, first_only):
+    doc = as_json(cycle_length_lower_bound(D, period_cutoff=cutoff, first_only=first_only))
+    validator(doc["schema"]).validate(doc)
+
+
+def test_schemas_reject_a_broken_report():
+    doc = as_json(verify_coefficient_conjecture(60))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "verified": "yes"}, {**doc, "extra": 1},
+                   {k: v for k, v in doc.items() if k != "swept"}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(cycle_length_lower_bound(2, period_cutoff=100))
+    with pytest.raises(ValidationError):
+        validator(doc["schema"]).validate({**doc, "packing_rejections": [[3]]})

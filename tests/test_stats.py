@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from collatzlab import stats
 from collatzlab.stats import (
     below_power_density,
     class_sieve,
@@ -286,6 +287,39 @@ def test_excursion_small_range_oracle():
             champs.append((n, t[n]))
             best = t[n]
     assert rep.champions == champs
+
+
+def test_excursion_champions_across_blocks():
+    # path records (OEIS A006884) up to 1e6; the last two lie past the
+    # first 2^19-entry block of the bound check and champion scan
+    rep = excursion_records(10**6)
+    assert [n for n, _ in rep.champions] == [
+        2, 3, 7, 15, 27, 255, 447, 639, 703, 1819, 4255, 4591, 9663, 20895, 26623,
+        31911, 60975, 77671, 113383, 138367, 159487, 270271, 665215, 704511]
+    for n, peak in rep.champions[-3:]:
+        x, best = n, 2
+        while x != 1:
+            x = t_step_int(x)
+            best = max(best, x)
+        assert peak == best
+    assert not rep.bound_violations
+
+
+def test_excursion_bound_violation_is_reported(monkeypatch):
+    # no n below 1e7 breaks t(n) <= 8 n^2, so plant a peak that does, in the
+    # second 2^19-entry block
+    n0 = 600_001
+    real = stats.descend
+
+    def planted(n, *args, **kwargs):
+        d = real(n, *args, **kwargs)
+        d.peak[n == n0] = 8 * n0 * n0 + 1
+        return d
+
+    monkeypatch.setattr(stats, "descend", planted)
+    rep = excursion_records(700_000)
+    assert rep.bound_violations == [(n0, 8 * n0 * n0 + 1)]
+    assert rep.champions[-1] == (n0, 8 * n0 * n0 + 1)
 
 
 def test_csv_rows_shape():
