@@ -204,7 +204,7 @@ def cf_log2_3(depth: int, power_cert_limit: int = POWER_CERT_LIMIT) -> Continued
     bits = 256
     quotients = None
     while bits <= 8192:
-        lo, hi = log2_3_fixed(bits) if bits == FRAC_BITS else log2_bounds(3, 1, bits)
+        lo, hi = log2_3_fixed(bits)
         quotients = _quotients_from_bounds(lo, hi, 1 << bits, depth)
         if quotients is not None:
             break

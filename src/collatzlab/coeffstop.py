@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -216,9 +217,8 @@ def verify_coefficient_conjecture(
     counterexamples = _sweep_for_disagreement(bound, k_max)
     # dangerous pairs should track convergent/intermediate denominators of
     # the continued fraction of log2 3; record the catalogue for the report
-    cf = cf_log2_3(20)
-    dens = [q for _, q in cf.convergents_with_intermediates() if q <= max(
-        (p.odd_steps for p in pairs[:16]), default=1)]
+    top = max((p.odd_steps for p in pairs[:16]), default=1)
+    dens = [q for q in _critical_denominators() if q <= top]
     return CoeffStopReport(
         k_max=k_max,
         verified=not counterexamples,
@@ -228,6 +228,13 @@ def verify_coefficient_conjecture(
         swept=bound,
         convergent_denominators=dens,
     )
+
+
+@cache
+def _critical_denominators() -> tuple[int, ...]:
+    """Convergent and intermediate denominators of log2 3 from 20 partial
+    quotients, ascending; built on first use, not at import."""
+    return tuple(q for _, q in cf_log2_3(20).convergents_with_intermediates())
 
 
 def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:

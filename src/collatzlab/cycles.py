@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .cf import FRAC_BITS, log2_3_fixed, log2_with_reciprocal_fixed
+from .cf import FRAC_BITS, log2_3_fixed, log2_bounds, log2_with_reciprocal_fixed
 from .maps import CycleRecord, three_x_plus_d
 
 
@@ -253,13 +253,16 @@ def _packed_sum_bounds(n: int, p: int, work_bits: int) -> tuple[int, int]:
 def packed_bound_exceeds(n: int, p: int, D: int) -> bool:
     """Certified decision of best_packed_min_element(n, p) > D.
 
+    Small n (up to 50,000) gets the exact rational value.  Above that no
+    power of 3 is formed; everything is decided from delta = p - n log2 3.
+    If delta < 0 then 2^p < 3^n, the cycle denominator 2^p - 3^n is
+    negative and no positive cycle exists, so the answer is False.
+
     Every term of the packed sum is within a factor of two of 3^(n-1) (the
     halving staircase stays within one unit of the line i*p/n, whose slope
-    is at least log2 3), so M sits between n/(6 delta) and n/delta with
-    delta = p - n log2 3.  That log-domain bracket settles pairs far from
-    the threshold without touching huge integers; straddles fall through to
-    a directed-rounding interval evaluation of the sum itself, and small n
-    to the exact rational value.
+    is at least log2 3), so M sits between n/(6 delta) and n/delta.  That
+    bracket settles pairs far from the threshold.  The rest go to
+    _packed_exceeds_log2, which decides M > D exactly in the log domain.
     """
     if n < 1 or p < 1:
         raise ValueError("need positive n, p")
@@ -271,35 +274,37 @@ def packed_bound_exceeds(n: int, p: int, D: int) -> bool:
     scale = 1 << FRAC_BITS
     d_lo = p * scale - n * hi3          # lower bound on delta, scaled
     d_hi = p * scale - n * lo3
-    if d_lo <= 0:
-        # p <= n log2 3 within certification: no positive cycle value at all
-        return False if 3**n >= (1 << p) else packed_bound_exceeds_exact(n, p, D)
-    if d_hi < scale:  # delta < 1: bracket constants below are valid
+    if 0 < d_lo and d_hi < scale:  # 0 < delta < 1: bracket constants are valid
         if 6 * D * d_hi < n * scale:
             return True               # M > n/(6 delta) > D
         if D * d_lo >= n * scale:
             return False              # M <= n/delta <= D
-    return packed_bound_exceeds_exact(n, p, D)
+    return _packed_exceeds_log2(n, p, D)
 
 
-def packed_bound_exceeds_exact(n: int, p: int, D: int) -> bool:
-    """Interval/exact tail of packed_bound_exceeds (big pows happen here)."""
-    p3 = 3 ** (n - 1)
-    E = (1 << p) - 3 * p3
-    if E <= 0:
-        return False
-    if n <= 50_000:
-        return best_packed_min_element(n, p) > Fraction(D)
-    work = 320
-    target = D * E
-    while work <= 1280:
-        lo, hi = _packed_sum_bounds(n, p, work)
-        t = target << work
-        if p3 * lo > t:
+def _packed_exceeds_log2(n: int, p: int, D: int) -> bool:
+    """M > D for M = best_packed_min_element(n, p), from fixed-point
+    brackets of width about n/2^w at w = 320, 640 and 1280 bits.
+
+    With Q = S / 3^(n-1) and 2^p - 3^n = 3^n (2^delta - 1),
+    M = Q / (3 (2^delta - 1)).  So for delta > 0, M > D holds exactly when
+    delta < log2(1 + Q/(3D)) = log2((3D 2^w + Q 2^w) / (3D 2^w)).  delta
+    is bracketed from log2_3_fixed(w), Q 2^w by _packed_sum_bounds, and
+    the right-hand side by log2_bounds, which is increasing in Q.  If
+    M == D, or no precision separates the brackets, ArithmeticError.
+    """
+    for w in (320, 640, 1280):
+        lo3, hi3 = log2_3_fixed(w)
+        d_lo, d_hi = (p << w) - n * hi3, (p << w) - n * lo3  # d_lo < delta 2^w <= d_hi
+        if d_hi <= 0:
+            return False  # delta < 0: no positive cycle value
+        q_lo, q_hi = _packed_sum_bounds(n, p, w)
+        t = (3 * D) << w
+        r_lo, r_hi = log2_bounds(t + q_lo, t, w)[0], log2_bounds(t + q_hi, t, w)[1]
+        if d_lo >= 0 and d_hi < r_lo:
             return True
-        if p3 * hi < t:
+        if d_lo >= r_hi:
             return False
-        work *= 2
     raise ArithmeticError("packed-bound interval failed to separate")
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterator, Optional, Union
 
 from .maps import MapError, ResidueAffineMap, Trajectory, _affine, trajectory
@@ -104,10 +105,6 @@ def fractran_step(prog: FractranProgram, m: int) -> Optional[int]:
     return None
 
 
-def _is_power_of_two(v: int) -> bool:
-    return v & (v - 1) == 0
-
-
 @dataclass
 class RunResult:
     start: int
@@ -130,15 +127,34 @@ class RunResult:
 
 
 def fractran_iter(prog: FractranProgram, m0: int) -> Iterator[tuple[int, int]]:
-    """Stream (step, value) pairs starting from (0, m0) until a halt."""
+    """Stream (step, value) pairs starting from (0, m0) until a halt.
+
+    This is the one run loop; it steps as fractran_step does, over int
+    (denominator, numerator) pairs built once per run.  After fraction i
+    applies, a fraction j < i whose denominator is coprime to numerator i
+    still does not apply: if it divided m / den_i * num_i, it would divide
+    m / den_i and hence m.  So the next step tests only the other fractions,
+    in program order, and the first that applies is still the first of all.
+    """
+    if m0 < 1:
+        raise ValueError("machine value must be >= 1")
+    follow: list[list] = [[] for _ in prog.fractions]  # candidates after fraction i
+    for i, g in enumerate(prog.fractions):
+        follow[i][:] = [(f.denominator, f.numerator, follow[j])
+                        for j, f in enumerate(prog.fractions)
+                        if j >= i or gcd(f.denominator, g.numerator) > 1]
+    candidates = follow[0]  # every fraction
     m = m0
     step = 0
     yield step, m
     while True:
-        nxt = fractran_step(prog, m)
-        if nxt is None:
+        for den, num, nxt in candidates:
+            if not m % den:
+                m = m // den * num
+                candidates = nxt
+                break
+        else:
             return
-        m = nxt
         step += 1
         yield step, m
 
@@ -161,22 +177,16 @@ def fractran_run(
     if halt not in ("power_of_two", "value", "none"):
         raise ValueError("unknown halt predicate")
     outputs: list[int] = []
-    halted = False
-    final = m0
-    steps = 0
-    it = fractran_iter(prog, m0)
-    next(it)  # starting value is not an output
-    budget = False
-    for step, value in it:
-        steps, final = step, value
-        if halt == "power_of_two" and _is_power_of_two(value):
-            outputs.append(value)
+    steps, final, halted, budget = 0, m0, False, False
+    for steps, final in islice(fractran_iter(prog, m0), 1, None):  # m0 is not an output
+        if halt == "power_of_two" and final.bit_count() == 1:
+            outputs.append(final)
             if max_outputs is not None and len(outputs) >= max_outputs:
                 break
-        elif halt == "value" and value == halt_value:
-            outputs.append(value)
+        elif halt == "value" and final == halt_value:
+            outputs.append(final)
             break
-        if step >= max_steps:
+        if steps >= max_steps:
             budget = True
             break
     else:
@@ -200,21 +210,18 @@ def primegame_exponents(count: int, max_steps: Optional[int] = None) -> list[int
     44th prime, 193, appears at step 9,878,162 and the 50th, 229, at step
     16,429,798.
     """
-    prog = FractranProgram(PRIMEGAME)
-    outputs = []
-    m = 2
-    steps = 0
-    while len(outputs) < count:
-        if max_steps is not None and steps >= max_steps:
-            raise RuntimeError(
-                f"step budget {max_steps} exhausted after "
-                f"{len(outputs)} of {count} outputs"
-            )
-        m = fractran_step(prog, m)
-        steps += 1
-        if _is_power_of_two(m):
+    if count <= 0:
+        return []
+    outputs: list[int] = []
+    stop = None if max_steps is None else max(max_steps + 1, 0)
+    for _, m in islice(fractran_iter(FractranProgram(PRIMEGAME), 2), 1, stop):
+        if m.bit_count() == 1:
             outputs.append(m.bit_length() - 1)
-    return outputs
+            if len(outputs) == count:
+                return outputs
+    raise RuntimeError(
+        f"step budget {max_steps} exhausted after {len(outputs)} of {count} outputs"
+    )
 
 
 def fractran_as_multiplier_map(prog: FractranProgram) -> ResidueAffineMap:
@@ -255,7 +262,7 @@ def conway_iterate(
     return trajectory(
         mp,
         n0,
-        target_predicate=lambda v: v != n0 and v >= 1 and _is_power_of_two(v),
+        target_predicate=lambda v: v != n0 and v >= 1 and v.bit_count() == 1,
         step_limit=step_limit,
         magnitude_limit=magnitude_limit,
     )

@@ -99,6 +99,22 @@ def test_dangerous_pairs_follow_convergents():
     assert any(q in (41, 53) for q in rep.convergent_denominators)
 
 
+def test_critical_denominators_built_once(monkeypatch):
+    real = coeffstop.cf_log2_3
+    calls = []
+    monkeypatch.setattr(coeffstop, "cf_log2_3", lambda depth: calls.append(depth) or real(depth))
+    coeffstop._critical_denominators.cache_clear()
+    try:
+        reports = [verify_coefficient_conjecture(k) for k in (60, 300, 300)]
+    finally:
+        coeffstop._critical_denominators.cache_clear()
+    assert calls == [20]
+    catalogue = [q for _, q in real(20).convergents_with_intermediates()]
+    for rep in reports:
+        top = max(p.odd_steps for p in rep.pairs[:16])
+        assert rep.convergent_denominators == [q for q in catalogue if q <= top]
+
+
 @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 300, 1200])
 def test_crossing_maxima_match_dp(k_max):
     assert coeffstop._crossing_maxima(k_max) == dominating_offset_maxima_dp(k_max)

@@ -12,11 +12,15 @@ from collatzlab.cf import FRAC_BITS, log2_3_fixed, log2_with_reciprocal_fixed
 from collatzlab.cycles import (
     _band_hits,
     _first_multiple_hit,
+    _packed_exceeds_log2,
+    _packed_sum_bounds,
     _window_candidates,
+    best_packed_min_element,
     circuit_solutions,
     cycle_length_lower_bound,
     cycle_value,
     linear_combination_witness,
+    packed_bound_exceeds,
     rational_cycles_3xd,
     replay_word,
     word_offset,
@@ -281,9 +285,6 @@ def test_linear_combination_witness():
 def test_packed_min_element_brute_force():
     # the balanced packing maximizes the minimal cycle element: check against
     # exhaustive enumeration of all cyclic parity words
-    import itertools
-    from collatzlab.cycles import best_packed_min_element
-
     for p in range(2, 11):
         for n in range(1, p):
             if 3**n >= (1 << p):
@@ -314,20 +315,81 @@ def test_packed_min_element_brute_force():
             assert best == best_packed_min_element(n, p)
 
 
-def test_packed_bound_interval_matches_exact():
-    from collatzlab.cycles import best_packed_min_element, packed_bound_exceeds
+def packed_bound_exceeds_exact(n, p, D):
+    """The interval/exact tail that packed_bound_exceeds used before its
+    log-domain decision: it forms 3^(n-1) and 2^p - 3^n exactly."""
+    p3 = 3 ** (n - 1)
+    E = (1 << p) - 3 * p3
+    if E <= 0:
+        return False
+    if n <= 50_000:
+        return best_packed_min_element(n, p) > Fraction(D)
+    work = 320
+    target = D * E
+    while work <= 1280:
+        lo, hi = _packed_sum_bounds(n, p, work)
+        t = target << work
+        if p3 * lo > t:
+            return True
+        if p3 * hi < t:
+            return False
+        work *= 2
+    raise ArithmeticError("packed-bound interval failed to separate")
 
-    for n, p in ((3, 5), (5, 8), (12, 20), (41, 65), (306, 485), (190537, 301994)):
+
+def packed_floor(n, p):
+    """floor(best_packed_min_element(n, p)) from a 320-bit bracket of Q."""
+    lo, hi = _packed_sum_bounds(n, p, 320)
+    den = ((1 << p) - 3**n) << 320
+    m, m_hi = 3 ** (n - 1) * lo // den, 3 ** (n - 1) * hi // den
+    assert m == m_hi
+    return m
+
+
+def test_packed_bound_interval_matches_exact():
+    # the last six pairs have n in 50,001..65,000; 63069 has the least
+    # delta > 0 there, 90344 puts delta above 1 (past the n/(6 delta)
+    # bracket) and 90342 below 0
+    for n, p in ((3, 5), (5, 8), (12, 20), (41, 65), (306, 485), (15601, 24727),
+                 (190537, 301994), (50001, 79250), (57000, 90343), (63069, 99962),
+                 (64999, 103021), (57000, 90344), (57000, 90342)):
+        if 3**n > 1 << p:
+            for D in (1, 2, 10**6, 2**40):
+                assert not packed_bound_exceeds(n, p, D)
+                assert not packed_bound_exceeds_exact(n, p, D)
+            continue
         m = best_packed_min_element(n, p) if n <= 2000 else None
-        for shift in (-1, 0, 1):
-            if m is not None:
-                D = int(m) + shift
-                if D >= 1:
-                    assert packed_bound_exceeds(n, p, D) == (m > D)
+        m_floor = int(m) if m is not None else packed_floor(n, p)
+        for D in (m_floor - 1, m_floor, m_floor + 1):
+            if D < 1:
+                continue
+            want = m > D if m is not None else packed_bound_exceeds_exact(n, p, D)
+            assert want == (D <= m_floor)
+            assert packed_bound_exceeds(n, p, D) == want
     # interval path against the exact rational path on a mid-size pair
-    m = best_packed_min_element(15601, 24727)
-    for D in (int(m) - 1, int(m), int(m) + 1):
-        from collatzlab.cycles import _packed_sum_bounds
-        lo, hi = _packed_sum_bounds(15601, 24727, 320)
-        S = m * ((1 << 24727) - 3**15601)
-        assert 3**15600 * lo <= S * (1 << 320) <= 3**15600 * hi
+    n, p = 15601, 24727
+    m = best_packed_min_element(n, p)
+    lo, hi = _packed_sum_bounds(n, p, 320)
+    S = m * ((1 << p) - 3**n)
+    assert 3 ** (n - 1) * lo <= S * (1 << 320) <= 3 ** (n - 1) * hi
+
+
+def test_log2_decision_against_exact_value():
+    # the n > 50,000 decision, run at small n where M is exact; M == D has
+    # no verdict, e.g. M = 1 for every (k, 2k), the trivial cycle repeated
+    ties = 0
+    for n in range(1, 31):
+        p0 = (3**n).bit_length()
+        for p in {p0 - 1, p0, p0 + 1, p0 + 3, 2 * n}:
+            if 3**n > 1 << p:
+                assert not _packed_exceeds_log2(n, p, 2)
+                continue
+            m = best_packed_min_element(n, p)
+            for D in {1, 2, int(m) - 1, int(m), int(m) + 1, 4 * int(m) + 7} - {0, -1}:
+                if m == D:
+                    ties += 1
+                    with pytest.raises(ArithmeticError):
+                        _packed_exceeds_log2(n, p, D)
+                else:
+                    assert _packed_exceeds_log2(n, p, D) == (m > D)
+    assert ties == 30

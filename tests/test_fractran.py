@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatzlab.fractran import (
     PRIMEGAME,
@@ -60,6 +63,36 @@ def test_primegame_budget_edge():
     assert primegame_exponents(2, max_steps=69) == [2, 3]
     with pytest.raises(RuntimeError, match="budget 68 exhausted after 1 of 2"):
         primegame_exponents(2, max_steps=68)
+
+
+def test_iter_matches_fractran_step_on_primegame():
+    prog = FractranProgram(PRIMEGAME)
+    m = 2
+    for step, value in islice(fractran_iter(prog, 2), 10**5 + 1):
+        if step:
+            m = fractran_step(prog, m)
+        assert value == m
+    assert step == 10**5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fracs=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=5),
+    m0=st.integers(1, 10**4),
+)
+def test_iter_matches_fractran_step(fracs, m0):
+    # small programs, most of them halting: the stream is repeated
+    # fractran_step, and it ends exactly where fractran_step returns None
+    prog = FractranProgram(tuple(Fraction(a, b) for a, b in fracs))
+    want, m = [(0, m0)], m0
+    while len(want) < 300 and (m := fractran_step(prog, m)) is not None:
+        want.append((len(want), m))
+    assert list(islice(fractran_iter(prog, m0), 300)) == want
+
+
+def test_iter_rejects_a_nonpositive_start():
+    with pytest.raises(ValueError):
+        next(fractran_iter(FractranProgram(PRIMEGAME), 0))
 
 
 def test_determinism():

@@ -2,13 +2,15 @@
 one file per schema id stamped into to_dict()."""
 
 import json
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
 from collatzlab.coeffstop import verify_coefficient_conjecture
-from collatzlab.cycles import cycle_length_lower_bound
+from collatzlab.cycles import cycle_length_lower_bound, rational_cycles_3xd
+from collatzlab.fractran import PRIMEGAME, FractranProgram, fractran_run
 
 
 def validator(schema_id):
@@ -43,6 +45,28 @@ def test_cycle_bound_reports(D, cutoff, first_only):
     validator(doc["schema"]).validate(doc)
 
 
+PRIMEGAME_PROG = FractranProgram(PRIMEGAME)
+HALTING_PROG = FractranProgram((Fraction(3, 2),))
+
+
+@pytest.mark.parametrize("prog, m0, kwargs", [
+    (PRIMEGAME_PROG, 2, {"max_outputs": 5}),           # PRIMEGAME run
+    (HALTING_PROG, 2**20, {"halt": "none"}),            # genuine halt
+    (PRIMEGAME_PROG, 2, {"max_steps": 50}),             # budget run
+    (PRIMEGAME_PROG, 2, {"halt": "value", "halt_value": 8}),
+], ids=["primegame", "halted", "budget", "value"])
+def test_fractran_run_reports(prog, m0, kwargs):
+    doc = as_json(fractran_run(prog, m0, **kwargs))
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("d", [1, 5, 7])
+def test_rational_cycles_reports(d):
+    doc = as_json(rational_cycles_3xd(d, 12))
+    assert doc["cycles"]
+    validator(doc["schema"]).validate(doc)
+
+
 def test_schemas_reject_a_broken_report():
     doc = as_json(verify_coefficient_conjecture(60))
     check = validator(doc["schema"])
@@ -53,3 +77,12 @@ def test_schemas_reject_a_broken_report():
     doc = as_json(cycle_length_lower_bound(2, period_cutoff=100))
     with pytest.raises(ValidationError):
         validator(doc["schema"]).validate({**doc, "packing_rejections": [[3]]})
+    doc = as_json(fractran_run(HALTING_PROG, 8, halt="none"))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "budget_exhausted": True}, {**doc, "final": 27},
+                   {**doc, "outputs": ["0x10"]}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(rational_cycles_3xd(5, 10))
+    with pytest.raises(ValidationError):
+        validator(doc["schema"]).validate({**doc, "cycles": [{"min": 1, "period": 3}]})
