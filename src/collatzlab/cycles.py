@@ -212,42 +212,62 @@ def _packed_sum_bounds(n: int, p: int, work_bits: int) -> tuple[int, int]:
     """Certified integer bounds (lo, hi) with
     lo <= S / 3^(n-1) * 2^work_bits <= hi for the balanced-packing sum S.
 
-    Evaluated by the descending Horner recursion Q_k = 1 + (2^(d_k)/3) *
-    Q_(k+1) in fixed point with directed rounding.  The halving schedule is
-    a Sturmian word, so runs of 64 steps take at most 65 distinct shapes;
-    each shape is composed once into an exact affine map and the main loop
-    applies one map per 64-step block.
+    Q = S / 3^(n-1) = sum_i 2^(c_i) / 3^i with c_i = floor(i p / n).  The
+    descending Horner recursion Q_(n-1) = 1, Q_k = 1 + 2^(c_(k+1) - c_k)
+    Q_(k+1) / 3 ends at Q_0 = Q.  With the letters U: x -> 2x and
+    V: x -> 1 + x/3, it applies U^(d_j) and then V for j = 1..n-1, where
+    d_j = c_(n-j) - c_(n-j-1).  Since c_(n-j) = p - ceil(j p / n), and
+    ceil(j p / n) = q + 1 + f(j - 1) for p - 1 = q n + r, 0 <= r < n and
+    f(i) = floor((p i + r) / n), this is d_j = f(j) - f(j - 1): the ceil
+    form of the staircase, with f(0) = 0.
+
+    That word is the cutting sequence of the line y = (p x + r) / n, so
+    `word` builds its product by the universal Euclidean recursion along
+    the continued fraction of p/n.  If P >= N, each v absorbs the
+    u^(P // N) in front of it; otherwise, between a head v^k u and a tail
+    of v's, the axes swap and the word is one of the same kind in (N, P)
+    with u and v exchanged.  That is O(log n) levels and O(log^2 n)
+    products, with binary powering.
+
+    An element x -> a x + b is held as (a_lo, a_hi, b_lo, b_hi), bounds on
+    a 2^W and b 2^W at W = work_bits + 64.  Composing gives a = a2 a1 and
+    b = a2 b1 + b2, which increase in every nonnegative entry, so the floor
+    of the lower products and the ceil of the upper ones are again bounds.
+    By induction that holds for any number and order of products; only the
+    width depends on them, and the 64 guard bits absorb it (at most 2 units
+    of 2^-work_bits was seen for 0 < delta < 2 and n up to 1e8).
     """
-    if n * p >= (1 << 62):  # pragma: no cover - beyond desk scale
-        raise ValueError("packing schedule exceeds the index guard")
-    one = 1 << work_bits
-    lo = hi = one  # Q_(n-1) = 1
-    ks = np.arange(n, dtype=np.int64)
-    steps = np.diff((ks * p) // n)[::-1].astype(np.int8)  # d values, descending
-    block = 64
-    head = len(steps) % block
-    for d in steps[:head].tolist():
-        lo = (lo << d) // 3 + one
-        hi = -((-(hi << d)) // 3) + one
-    body = steps[head:].reshape(-1, block)
-    # exact affine composite per distinct block: Q -> (Q << D) / 3^64 + B
-    pow3b = 3**block
-    comps: dict[bytes, tuple[int, int, int]] = {}
-    for key in {row.tobytes() for row in body}:
-        ds = np.frombuffer(key, dtype=np.int8)
-        D = 0
-        B = Fraction(0)
-        for d in ds.tolist():
-            D += int(d)
-            B = B * Fraction(1 << int(d), 3) + 1
-        scaled = B * one
-        b_lo = scaled.numerator // scaled.denominator
-        comps[key] = (D, b_lo, b_lo + 1)
-    for row in body:
-        D, b_lo, b_hi = comps[row.tobytes()]
-        lo = (lo << D) // pow3b + b_lo
-        hi = -((-(hi << D)) // pow3b) + b_hi
-    return lo, hi
+    W = work_bits + 64
+    one = 1 << W
+
+    def mul(f, g):  # f, then g
+        return ((g[0] * f[0]) >> W, -(-g[1] * f[1] >> W),
+                ((g[0] * f[2]) >> W) + g[2], -(-g[1] * f[3] >> W) + g[3])
+
+    def power(f, k):
+        out = (one, one, 0, 0)
+        while k:
+            if k & 1:
+                out = mul(out, f)
+            k >>= 1
+            if k:
+                f = mul(f, f)
+        return out
+
+    def word(P, N, R, L, u, v):
+        # u^(f(1) - f(0)) v ... u^(f(L) - f(L-1)) v, f(i) = (P i + R) // N, 0 <= R < N
+        if P >= N:
+            return word(P % N, N, R, L, u, mul(power(u, P // N), v))
+        m = (P * L + R) // N
+        if m == 0:
+            return power(v, L)
+        head = mul(power(v, (N - R - 1) // P), u)
+        tail = power(v, L - (N * m - R - 1) // P)
+        return mul(mul(head, word(N, P, (N - R - 1) % P, m - 1, v, u)), tail)
+
+    a_lo, a_hi, b_lo, b_hi = word(p, n, (p - 1) % n, n - 1, (2 * one, 2 * one, 0, 0),
+                                  (one // 3, one // 3 + 1, one, one))
+    return (a_lo + b_lo) >> 64, -(-(a_hi + b_hi) >> 64)
 
 
 def packed_bound_exceeds(n: int, p: int, D: int) -> bool:

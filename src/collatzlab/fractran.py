@@ -172,13 +172,15 @@ def fractran_run(
     halt is one of "power_of_two" (collect every power of two after the
     start; stop at max_outputs of them), "value" (stop when halt_value
     appears), or "none" (run to genuine halt or budget).  Budget exhaustion
-    is reported separately from a genuine halt.
+    is reported separately from a genuine halt: the run takes at most
+    max_steps steps, and it is exhausted only if a further step applies.
     """
     if halt not in ("power_of_two", "value", "none"):
         raise ValueError("unknown halt predicate")
     outputs: list[int] = []
     steps, final, halted, budget = 0, m0, False, False
-    for steps, final in islice(fractran_iter(prog, m0), 1, None):  # m0 is not an output
+    run = islice(fractran_iter(prog, m0), 1, None)  # m0 is not an output
+    for steps, final in islice(run, max(max_steps, 0)):
         if halt == "power_of_two" and final.bit_count() == 1:
             outputs.append(final)
             if max_outputs is not None and len(outputs) >= max_outputs:
@@ -186,11 +188,9 @@ def fractran_run(
         elif halt == "value" and final == halt_value:
             outputs.append(final)
             break
-        if steps >= max_steps:
-            budget = True
-            break
-    else:
-        halted = True
+    else:  # the budget is spent only if a further step applies
+        budget = next(run, None) is not None
+        halted = not budget
     return RunResult(m0, steps, halted, budget, outputs, final)
 
 

@@ -45,14 +45,12 @@ def phi_mod(x: int, n: int) -> int:
     m = 1 << n
     inv3 = pow(3, -1, m)
     acc = 0
-    rank = 0
     coeff = inv3
     v = x % m
     for b in range(n):
         if (v >> b) & 1:
             acc = (acc + coeff * (1 << b)) % m
             coeff = (coeff * inv3) % m
-            rank += 1
     return (-acc) % m
 
 
@@ -168,14 +166,17 @@ def conjugacy_check(n: int) -> ConjugacyReport:
     where S is the shift (x-1)/2 on odds, x/2 on evens.
 
     One bit is lost to the halving inside T and S, hence the modulus drop.
+    phi mod 2^(n-1) on y < 2^(n-1) is phi mod 2^n reduced: y has no bit at
+    n - 1, and 3^-1 mod 2^n reduces to 3^-1 mod 2^(n-1).  So one table
+    serves both sides.
     """
     if not 4 <= n <= N_MAX:
         raise ValueError(f"n must be in 4..{N_MAX}")
     m = 1 << n
     x = np.arange(m, dtype=np.int64)
-    lhs = t_step(_phi_table(n))[0] & ((m >> 1) - 1)
-    rhs = _phi_table(n - 1)[x >> 1]  # S(x) = x >> 1 for odd and even x alike
-    bad = np.nonzero(lhs != rhs)[0]
+    tab = _phi_table(n)
+    diff = t_step(tab)[0] ^ tab[x >> 1]  # S(x) = x >> 1 for odd and even x alike
+    bad = np.nonzero(diff & ((m >> 1) - 1))[0]
     return ConjugacyReport(n, m, [int(b) for b in bad[:100]])
 
 

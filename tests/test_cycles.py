@@ -315,6 +315,81 @@ def test_packed_min_element_brute_force():
             assert best == best_packed_min_element(n, p)
 
 
+def packed_sum_bounds_blocks(n, p, work_bits):
+    """The block Horner that _packed_sum_bounds replaced: the descending
+    recursion Q_k = 1 + (2^(d_k)/3) Q_(k+1) in fixed point with directed
+    rounding, one exact affine map per distinct 64-step block shape."""
+    one = 1 << work_bits
+    lo = hi = one  # Q_(n-1) = 1
+    ks = np.arange(n, dtype=np.int64)
+    steps = np.diff((ks * p) // n)[::-1].astype(np.int8)  # d values, descending
+    block = 64
+    head = len(steps) % block
+    for d in steps[:head].tolist():
+        lo = (lo << d) // 3 + one
+        hi = -((-(hi << d)) // 3) + one
+    body = steps[head:].reshape(-1, block)
+    # exact affine composite per distinct block: Q -> (Q << D) / 3^64 + B
+    pow3b = 3**block
+    comps = {}
+    for key in {row.tobytes() for row in body}:
+        ds = np.frombuffer(key, dtype=np.int8)
+        D = 0
+        B = Fraction(0)
+        for d in ds.tolist():
+            D += int(d)
+            B = B * Fraction(1 << int(d), 3) + 1
+        scaled = B * one
+        b_lo = scaled.numerator // scaled.denominator
+        comps[key] = (D, b_lo, b_lo + 1)
+    for row in body:
+        D, b_lo, b_hi = comps[row.tobytes()]
+        lo = (lo << D) // pow3b + b_lo
+        hi = -((-(hi << D)) // pow3b) + b_hi
+    return lo, hi
+
+
+def packed_sum(n, p):
+    """The exact balanced-packing sum S = sum_i 3^(n-1-i) 2^(floor(i p / n))."""
+    return sum(3 ** (n - 1 - i) << (i * p // n) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 400), data=st.data(), w=st.sampled_from([64, 320]))
+@example(n=1, data=None, w=64)
+@example(n=400, data=None, w=320)
+def test_packed_sum_bounds_contain_the_exact_sum(n, data, w):
+    # p from just below 3^n up to 2n + 3, or p < n: then the staircase
+    # floor(i p / n) repeats values and the word has empty U runs
+    top = (3**n).bit_length()
+    if data is None:
+        p = max(1, n // 3)
+    elif n > 1 and data.draw(st.booleans(), label="p < n"):
+        p = data.draw(st.integers(1, n - 1), label="p")
+    else:
+        p = data.draw(st.integers(top - 1, max(top - 1, 2 * n + 3)), label="p")
+    lo, hi = _packed_sum_bounds(n, p, w)
+    scaled = packed_sum(n, p) << w
+    assert lo * 3 ** (n - 1) <= scaled <= hi * 3 ** (n - 1)
+    if 3**n < 1 << p < 4 * 3**n:  # 0 < delta < 2
+        assert hi - lo <= 4
+
+
+@pytest.mark.parametrize("n, p", [(15601, 24727), (63069, 99962), (190537, 301994)])
+def test_packed_sum_bounds_overlap_the_block_oracle(n, p):
+    lo, hi = _packed_sum_bounds(n, p, 320)
+    old_lo, old_hi = packed_sum_bounds_blocks(n, p, 320)
+    assert max(lo, old_lo) <= min(hi, old_hi)
+    assert hi - lo <= 4 < old_hi - old_lo
+
+
+def test_packed_sum_bounds_width_at_the_2_40_pair():
+    # 0 < delta < 2 here; the block oracle's bracket is 243,032 units wide
+    for w in (320, 640, 1280):
+        lo, hi = _packed_sum_bounds(10781274, 17087915, w)
+        assert 0 <= hi - lo <= 4
+
+
 def packed_bound_exceeds_exact(n, p, D):
     """The interval/exact tail that packed_bound_exceeds used before its
     log-domain decision: it forms 3^(n-1) and 2^p - 3^n exactly."""

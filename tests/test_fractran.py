@@ -130,6 +130,32 @@ def test_run_value_halt_and_budget():
     assert res.budget_exhausted and not res.halted
 
 
+@pytest.mark.parametrize("budget, final", [(0, 2), (1, 15), (2, 825)])
+def test_run_takes_at_most_max_steps(budget, final):
+    res = fractran_run(FractranProgram(PRIMEGAME), 2, max_steps=budget)
+    assert (res.steps, res.final) == (budget, final)
+    assert res.budget_exhausted and not res.halted and not res.outputs
+
+
+def test_run_budget_edges():
+    prog = FractranProgram((Fraction(3, 2),))  # 8 -> 12 -> 18 -> 27, then halts
+    res = fractran_run(prog, 3, halt="none", max_steps=0)  # halts at its start
+    assert res.halted and not res.budget_exhausted and (res.steps, res.final) == (0, 3)
+    res = fractran_run(prog, 8, halt="none", max_steps=3)  # halts at the last allowed step
+    assert res.halted and not res.budget_exhausted and (res.steps, res.final) == (3, 27)
+    res = fractran_run(prog, 8, halt="none", max_steps=2)
+    assert res.budget_exhausted and not res.halted and (res.steps, res.final) == (2, 18)
+    # PRIMEGAME's first output, 2^2, appears at step 19
+    primegame = FractranProgram(PRIMEGAME)
+    res = fractran_run(primegame, 2, max_steps=19)
+    assert res.outputs == [4] and res.budget_exhausted and res.steps == 19
+    res = fractran_run(primegame, 2, max_steps=19, max_outputs=1)
+    assert res.outputs == [4] and not res.budget_exhausted and res.steps == 19
+    assert fractran_run(primegame, 2, max_steps=18).outputs == []
+    with pytest.raises(RuntimeError, match="budget 0 exhausted after 0 of 1"):
+        primegame_exponents(1, max_steps=0)
+
+
 def test_conway_identity_map():
     m = parse_map("d=2; 0: x; 1: x")
     tr = conway_iterate(m, 6, step_limit=10)

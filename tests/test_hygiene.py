@@ -1,13 +1,16 @@
 """Source hygiene of the package, checked with the standard library alone:
-every name a module imports is referenced somewhere in that module, and
-every import sits at module level."""
+every name a module imports is referenced somewhere in that module, every
+import sits at module level, and the package promises only what it ships."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "collatzlab"
+import collatzlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "collatzlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -56,3 +59,16 @@ def test_scan_finds_a_nested_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_nested_imports(path):
     assert nested_imports(path.read_text()) == []
+
+
+def test_package_data_globs_match_shipped_files():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    globs = config["tool"]["setuptools"]["package-data"]["collatzlab"]
+    assert globs
+    assert [g for g in globs if not any(SRC.glob(g))] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_docstring_names_every_module(path):
+    assert f"({path.stem})" in collatzlab.__doc__

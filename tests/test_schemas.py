@@ -11,6 +11,7 @@ from jsonschema import Draft202012Validator, ValidationError
 from collatzlab.coeffstop import verify_coefficient_conjecture
 from collatzlab.cycles import cycle_length_lower_bound, rational_cycles_3xd
 from collatzlab.fractran import PRIMEGAME, FractranProgram, fractran_run
+from collatzlab.stats import excursion_records, verify_range
 
 
 def validator(schema_id):
@@ -29,6 +30,25 @@ def as_json(report):
 @pytest.mark.parametrize("k_max", [1, 2, 60, 300, 2000])
 def test_coeffstop_verify_reports(k_max):
     doc = as_json(verify_coefficient_conjecture(k_max))
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("n_max, kwargs", [
+    (10**5, {"mode": "naive"}),
+    (10**6, {}),                                  # sieve(16)
+    (2**22 + 12345, {"sieve_k": 21}),
+    (1000, {"mode": "naive", "step_limit": 3}),   # failures
+    (1000, {"sieve_k": 8, "step_limit": 5}),      # failures above the naive cutoff
+], ids=["naive", "sieve", "sieve21", "naive-failures", "sieve-failures"])
+def test_verify_reports(n_max, kwargs):
+    doc = as_json(verify_range(n_max, **kwargs))
+    assert doc["verified"] == ("step_limit" not in kwargs)
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("n_max", [2, 10**4, 10**5])
+def test_excursion_reports(n_max):
+    doc = as_json(excursion_records(n_max))
     validator(doc["schema"]).validate(doc)
 
 
@@ -86,3 +106,15 @@ def test_schemas_reject_a_broken_report():
     doc = as_json(rational_cycles_3xd(5, 10))
     with pytest.raises(ValidationError):
         validator(doc["schema"]).validate({**doc, "cycles": [{"min": 1, "period": 3}]})
+    doc = as_json(verify_range(1000, mode="naive", step_limit=3))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "verified": True}, {**doc, "failures": [3]},
+                   {**doc, "mode": "sieve"}, {**doc, "survivor_fractions": {"0": "1/2"}}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(excursion_records(10**4))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "champions": [[27, 4616]]}, {**doc, "champions": []},
+                   {k: v for k, v in doc.items() if k != "bound_violations"}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)

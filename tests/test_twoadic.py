@@ -3,6 +3,7 @@
 import pytest
 
 from collatzlab.twoadic import (
+    _phi_table,
     conjugacy_check,
     inverse_consistency,
     odd_unit_restriction_is_permutation,
@@ -42,7 +43,6 @@ def test_phi_truncation_consistency():
 
 
 def test_phi_table_matches_scalar():
-    from collatzlab.twoadic import _phi_table
     for n in (4, 9):
         tab = _phi_table(n)
         for x in range(1 << n):
@@ -78,6 +78,13 @@ def test_conjugacy_small():
 
 def test_conjugacy_16():
     assert conjugacy_check(16).ok
+
+
+def test_phi_table_restricts_to_the_lower_modulus():
+    # conjugacy_check reads phi mod 2^(n-1) off the table mod 2^n
+    for n in range(2, 17):
+        half = 1 << (n - 1)
+        assert (_phi_table(n)[:half] & (half - 1)).tolist() == _phi_table(n - 1).tolist()
 
 
 def test_validation():
