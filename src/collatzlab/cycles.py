@@ -310,8 +310,12 @@ def _packed_exceeds_log2(n: int, p: int, D: int) -> bool:
     M = Q / (3 (2^delta - 1)).  So for delta > 0, M > D holds exactly when
     delta < log2(1 + Q/(3D)) = log2((3D 2^w + Q 2^w) / (3D 2^w)).  delta
     is bracketed from log2_3_fixed(w), Q 2^w by _packed_sum_bounds, and
-    the right-hand side by log2_bounds, which is increasing in Q.  If
-    M == D, or no precision separates the brackets, ArithmeticError.
+    the right-hand side by log2_bounds, which is increasing in Q.  One
+    bracket [L, L + 1) at q_lo serves both ends when q_hi - q_lo <= 2D:
+    since t = 3D 2^w and ln(1 + u) <= u, the rest of the way to q_hi adds
+    log2((t + q_hi)/(t + q_lo)) 2^w <= (q_hi - q_lo)/(3D ln 2) < 1, so the
+    right-hand side at q_hi is below L + 2.  If M == D, or no precision
+    separates the brackets, ArithmeticError.
     """
     for w in (320, 640, 1280):
         lo3, hi3 = log2_3_fixed(w)
@@ -320,7 +324,11 @@ def _packed_exceeds_log2(n: int, p: int, D: int) -> bool:
             return False  # delta < 0: no positive cycle value
         q_lo, q_hi = _packed_sum_bounds(n, p, w)
         t = (3 * D) << w
-        r_lo, r_hi = log2_bounds(t + q_lo, t, w)[0], log2_bounds(t + q_hi, t, w)[1]
+        r_lo, r_hi = log2_bounds(t + q_lo, t, w)
+        if q_hi - q_lo <= 2 * D:
+            r_hi = r_lo + 2  # log2((t + q_hi)/(t + q_lo)) 2^w <= 2/(3 ln 2) < 1
+        else:
+            r_hi = log2_bounds(t + q_hi, t, w)[1]
         if d_lo >= 0 and d_hi < r_lo:
             return True
         if d_lo >= r_hi:

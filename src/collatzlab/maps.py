@@ -1,6 +1,11 @@
 """Iterable integer maps: a residue-affine DSL plus named special forms,
 with a trajectory engine and exact cycle detection.
 
+One orbit walker, _walk, steps every orbit that trajectory, find_cycles
+and trees.reach_count follow.  It keeps the path, so a cycle is certified
+at its first repeated iterate, and it applies the one limit policy: a step
+limit and a magnitude limit, past which the orbit is unresolved.
+
 Residues always use mathematical mod (0 <= r < d), so maps act on negative
 integers the way the cycle catalogue expects ({-1}, {-5,-7,-10} and the
 -17 cycle of the 3x+1 function are ordinary orbits here).
@@ -12,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional, Union
 
 
 class MapError(ValueError):
@@ -84,20 +89,6 @@ class ResidueAffineMap:
             raise MapDomainError(f"{self.label or 'map'} is undefined here", x)
         br = self.branches[x % self.modulus]
         return (br.num * x + br.add) // br.den
-
-    def multiplier_divisor_form(self) -> tuple[int, list[int], list[int]]:
-        """Rewrite as T(x) = (m_i x - r_i) / d with the map's own modulus as d."""
-        d = self.modulus
-        ms, rs = [], []
-        for br in self.branches:
-            a, b = br.coeffs()
-            m = a * d
-            r = -b * d
-            if m.denominator != 1 or r.denominator != 1:
-                raise MapError("branch does not fit the (m_i x - r_i)/d form")
-            ms.append(int(m))
-            rs.append(int(r))
-        return d, ms, rs
 
 
 @dataclass(frozen=True)
@@ -471,6 +462,43 @@ DEFAULT_STEP_LIMIT = 10**5
 DEFAULT_MAGNITUDE_LIMIT = 1 << 1024
 
 
+def _walk(map_spec: MapSpec, x: int, stop: Container[int], step_limit: int,
+          magnitude_limit: int):
+    """The one orbit walker: step map_spec from x until an iterate stops it.
+
+    Returns (path, pos, v).  path holds the iterates before v, pos maps each
+    of them to its index, and v is the first iterate that is a stop value
+    (v in stop), repeats a path value (the cycle is path[pos[v]:]),
+    has |v| > magnitude_limit, or comes step_limit steps after x.  Callers
+    tell these apart in that order, so a stop value wins over a limit; a
+    repeated value was tested against stop when first seen.  The start is
+    tested against stop only, so a walk takes at least one step unless
+    x is in stop, and at most step_limit steps.  A cycle is seen at its
+    first repeat, after exactly len(path) steps.  A MapDomainError from the
+    map propagates.
+    """
+    path: list[int] = []
+    pos: dict[int, int] = {}
+    while x not in stop:
+        pos[x] = len(path)
+        path.append(x)
+        x = map_spec.step(x)
+        if x in pos or abs(x) > magnitude_limit or len(path) >= step_limit:
+            break
+    return path, pos, x
+
+
+@dataclass(frozen=True)
+class _Targets:
+    """trajectory's targets as one container: members, or a predicate."""
+
+    members: Container[int]
+    predicate: Callable[[int], object]
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.members or bool(self.predicate(v))
+
+
 @dataclass
 class Trajectory:
     start: int
@@ -478,7 +506,6 @@ class Trajectory:
     termination: Termination
     parity: str
     iterates: Optional[list[int]] = None
-    stats: Optional[dict] = None
 
     @property
     def final(self) -> int:
@@ -499,77 +526,37 @@ def trajectory(
     magnitude_limit: int = DEFAULT_MAGNITUDE_LIMIT,
     record_iterates: bool = True,
 ) -> Trajectory:
-    """Iterate until a target is hit, a cycle is certified, or a limit trips.
+    """Iterate until a target is hit, a cycle is entered, or a limit trips.
 
-    Cycle certification uses Brent's algorithm on the exact iterate stream,
-    then replays the orbit to extract and verify the cycle.
+    One _walk call, stopped at the targets (target_set or target_predicate),
+    gives every outcome.  A cycle is certified at its first repeated
+    iterate, so steps <= step_limit for every termination, and the iterates
+    of an EnteredCycle trajectory end just before that repeat.  The walk
+    keeps its path either way (at most step_limit + 1 iterates);
+    record_iterates only decides whether it is returned.
     """
     if step_limit <= 0 or magnitude_limit <= 0:
         raise ValueError("limits must be positive")
 
-    def hit(v: int) -> bool:
-        if target_set is not None and v in target_set:
-            return True
-        return target_predicate is not None and bool(target_predicate(v))
-
-    label = getattr(map_spec, "label", "")
-    iterates = [x] if record_iterates else None
-    parity = []
-    if hit(x):
-        return Trajectory(x, 0, ReachedTarget(x), "", iterates)
-
-    # Brent's cycle detection interleaved with limits and target checks
-    power = lam = 1
-    tortoise = x
-    hare = map_spec.step(x)
-    parity.append(str(x & 1))
+    targets: Container[int] = target_set if target_set is not None else ()
+    if target_predicate is not None:
+        targets = _Targets(targets, target_predicate)
+    path, pos, v = _walk(map_spec, x, targets, step_limit, magnitude_limit)
+    term: Termination
+    if v in targets:
+        term = ReachedTarget(v)
+    elif v in pos:
+        cycle = _canonical_rotation(path[pos[v]:])
+        term = EnteredCycle(CycleRecord(cycle, getattr(map_spec, "label", "")))
+    elif abs(v) > magnitude_limit:
+        term = MagnitudeLimit(v)
+    else:
+        term = StepLimit()
+    iterates = None
     if record_iterates:
-        iterates.append(hare)
-    steps = 1
-    term: Optional[Termination] = None
-    while True:
-        if hit(hare):
-            term = ReachedTarget(hare)
-            break
-        if abs(hare) > magnitude_limit:
-            term = MagnitudeLimit(hare)
-            break
-        if steps >= step_limit:
-            term = StepLimit()
-            break
-        if tortoise == hare:
-            # period is lam; rewind to find the cycle start, then extract
-            mu = 0
-            t2, h2 = x, x
-            for _ in range(lam):
-                h2 = map_spec.step(h2)
-            while t2 != h2:
-                t2 = map_spec.step(t2)
-                h2 = map_spec.step(h2)
-                mu += 1
-            cyc = [t2]
-            y = map_spec.step(t2)
-            while y != t2:
-                cyc.append(y)
-                y = map_spec.step(y)
-            record = CycleRecord(_canonical_rotation(cyc), label)
-            if record_iterates:
-                del iterates[mu + len(cyc):]
-            term = EnteredCycle(record)
-            steps = mu + len(cyc)
-            parity = parity[:steps]
-            break
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        parity.append(str(hare & 1))
-        hare = map_spec.step(hare)
-        lam += 1
-        steps += 1
-        if record_iterates:
-            iterates.append(hare)
-    return Trajectory(x, steps, term, "".join(parity[:steps]), iterates)
+        iterates = path if isinstance(term, EnteredCycle) else path + [v]
+    parity = "".join(["1" if u & 1 else "0" for u in path])
+    return Trajectory(x, len(path), term, parity, iterates)
 
 
 @dataclass
@@ -591,55 +578,40 @@ def find_cycles(
 ) -> CycleSearchResult:
     """All cycles whose orbit intersects [lo, hi] within the limits.
 
-    Starting points whose fate is unresolved at the limits are reported,
-    never dropped.  Cycles are deduplicated by canonical rotation; each walk
-    memoizes the fate of every in-range point it visits, so the sweep is
-    near-linear for contracting maps.
+    Starts are walked by _walk in order of (|s|, s), stopped at any in-range
+    point whose fate is already known.  Each walk then records its fate, a
+    cycle or None (unresolved), for every in-range point on its path, so the
+    sweep is near-linear for contracting maps.  A walk that stops at a step
+    or magnitude limit, or raises MapDomainError, leaves its start
+    unresolved; unresolved starts are reported, never dropped.  Cycles are
+    deduplicated by canonical rotation.
     """
     lo, hi = search_range
     if lo > hi:
         raise MapError("search range must satisfy lo <= hi")
-    fate: dict[int, object] = {}
+    label = getattr(map_spec, "label", "")
+    fate: dict[int, Optional[CycleRecord]] = {}
     cycles: dict[tuple[int, ...], CycleRecord] = {}
     unresolved: list[int] = []
-
-    starts = sorted(range(lo, hi + 1), key=lambda v: (abs(v), v))
-    for s in starts:
-        if s in fate:
-            if fate[s] == "unresolved":
-                unresolved.append(s)
-            continue
-        if hasattr(map_spec, "in_domain") and not map_spec.in_domain(s):
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        v = s
-        outcome: object = None
-        while True:
-            if v in pos:
-                cyc = path[pos[v]:]
-                rec = CycleRecord(_canonical_rotation(cyc), getattr(map_spec, "label", ""))
-                cycles.setdefault(rec.elements, rec)
-                outcome = rec.elements
-                break
+    for s in sorted(range(lo, hi + 1), key=lambda v: (abs(v), v)):
+        if s not in fate:
+            if not map_spec.in_domain(s):
+                continue
+            try:
+                path, pos, v = _walk(map_spec, s, fate, step_limit, magnitude_limit)
+            except MapDomainError:
+                path, pos, v = [s], {}, None
             if v in fate:
                 outcome = fate[v]
-                break
-            pos[v] = len(path)
-            path.append(v)
-            try:
-                v = map_spec.step(v)
-            except MapDomainError:
-                outcome = "unresolved"
-                break
-            if abs(v) > magnitude_limit or len(path) >= step_limit:
-                outcome = "unresolved"
-                break
-        for p in path:
-            if lo <= p <= hi:
-                fate[p] = outcome
-        if outcome == "unresolved" and lo <= s <= hi:
+            elif v in pos:
+                rec = CycleRecord(_canonical_rotation(path[pos[v]:]), label)
+                outcome = cycles.setdefault(rec.elements, rec)
+            else:
+                outcome = None
+            for u in path:
+                if lo <= u <= hi:
+                    fate[u] = outcome
+        if fate[s] is None:
             unresolved.append(s)
-
     ordered = sorted(cycles.values(), key=lambda c: (abs(c.min_element), c.min_element))
-    return CycleSearchResult(ordered, sorted(set(unresolved)), (lo, hi))
+    return CycleSearchResult(ordered, sorted(unresolved), (lo, hi))

@@ -7,6 +7,11 @@ count of all n with T^k(n) = a (multiples of 3 included; they continue as
 pure doubling spines), and the pruned tree in which a multiple of 3 is a
 dead end.  Growth-rate statistics traditionally refer to the pruned tree,
 whose mean branching factor is 4/3.
+
+Reachability runs forward, not backward: reach_count walks each start with
+the orbit walker of maps (maps._walk), under the one limit policy of
+trajectory and find_cycles (maps.DEFAULT_STEP_LIMIT and
+DEFAULT_MAGNITUDE_LIMIT, and a start stopped at either is unresolved).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .maps import EnteredCycle, ReachedTarget, t_map, trajectory
+from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 
 def preimages(a: int) -> set[int]:
@@ -162,40 +167,34 @@ def extremal_spread(
     )
 
 
-def reach_count(a: int, x: int, magnitude_factor: int = 64) -> int:
-    """How many n with |n| <= x have a in their forward T orbit.
+def reach_count(a: int, x: int) -> int:
+    """pi_a(x): how many n with |n| <= x have a in their forward T orbit.
 
-    Reverse breadth-first search from a with a magnitude cap, then a forward
-    fallback for the stragglers the cap may have missed.  A straggler whose
-    forward run stops at a step or magnitude limit, neither reaching a nor
-    entering a cycle, is unresolved: RuntimeError names the first one.
+    One forward sweep over n = -x..x with maps._walk, stopped at the memo:
+    the fate (reaches a or not) of every point with |n| <= x that an
+    earlier walk visited, seeded with a (and with a's whole cycle when a
+    lies on one, found by one walk from a).  A walk that enters a cycle
+    without meeting a answers no.  Limits are maps.DEFAULT_STEP_LIMIT and
+    DEFAULT_MAGNITUDE_LIMIT: a start whose walk stops at either is
+    unresolved, and RuntimeError names the first one.
     """
     if x > 10**7:
         raise ValueError("bound capped at 1e7")
-    cap = max(4 * abs(a) + 16, magnitude_factor * x)
-    frontier = {a}
-    seen = {a}
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            for c in _children(v, pruned=False):
-                if c not in seen and abs(c) <= cap:
-                    seen.add(c)
-                    nxt.add(c)
-        frontier = nxt
-    found = {v for v in seen if abs(v) <= x}
-    # forward fallback: anything not reached backwards gets checked forwards
+    t = t_map()
+    path, pos, v = _walk(t, a, (), DEFAULT_STEP_LIMIT, DEFAULT_MAGNITUDE_LIMIT)
+    memo = dict.fromkeys(path if pos.get(v) == 0 else [a], True)
+    count = 0
     for n in range(-x, x + 1):
-        if n in found:
-            continue
-        tr = trajectory(t_map(), n, target_set={a}, step_limit=4096,
-                        record_iterates=False)
-        if isinstance(tr.termination, ReachedTarget):
-            found.add(n)
-        elif not isinstance(tr.termination, EnteredCycle):
+        path, pos, v = _walk(t, n, memo, DEFAULT_STEP_LIMIT, DEFAULT_MAGNITUDE_LIMIT)
+        if v not in memo and v not in pos:
             raise RuntimeError(f"reach_count: n={n} is unresolved, its forward run stopped "
-                               f"at {type(tr.termination).__name__} after {tr.steps} steps")
-    return len(found)
+                               f"at a step or magnitude limit after {len(path)} steps")
+        reached = memo.get(v, False)
+        for u in path:
+            if -x <= u <= x:
+                memo[u] = reached
+        count += reached
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,6 @@ def parity_prefix(x: int, n: int) -> str:
     return "".join(out)
 
 
-def parity_value(x: int, n: int) -> int:
-    """The parity prefix packed as an integer (bit i = parity of T^i(x))."""
-    return int(parity_prefix(x, n)[::-1], 2)
-
-
 def phi_mod(x: int, n: int) -> int:
     """The conjugacy map on residues: phi(x) mod 2^n."""
     if not 1 <= n <= 32:

@@ -1,6 +1,8 @@
 """Source hygiene of the package, checked with the standard library alone:
 every name a module imports is referenced somewhere in that module, every
-import sits at module level, and the package promises only what it ships."""
+import sits at module level, every public function, class and method is
+referenced somewhere in the package, its tests or its benchmark, and the
+package promises only what it ships."""
 
 import ast
 from pathlib import Path
@@ -59,6 +61,59 @@ def test_scan_finds_a_nested_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_nested_imports(path):
     assert nested_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a source refers to: Name ids, Attribute attrs and the
+    parts of imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def unreferenced_public_names(source: str, references: set[str]) -> list[str]:
+    """Module-level public functions and classes, and public methods of
+    module-level classes, whose name is not in references."""
+    found = []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(source).body:
+        if not isinstance(node, defs):
+            continue
+        if not node.name.startswith("_") and node.name not in references:
+            found.append(f"{node.name} (line {node.lineno})")
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{m.name} (line {m.lineno})" for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not m.name.startswith("_")
+                      and m.name not in references]
+    return found
+
+
+def test_scan_finds_an_unreferenced_public_name():
+    module = ("def used(x):\n    return x\n\ndef unused():\n    pass\n\n"
+              "class Box:\n    def open(self):\n        pass\n\n"
+              "    def shut(self):\n        pass\n\n    def _seal(self):\n        pass\n\n"
+              "def _helper():\n    pass\n")
+    caller = "from pkg import used\nimport pkg.Box\n\nBox().open(used(1))\n"
+    refs = referenced_names(module) | referenced_names(caller)
+    assert unreferenced_public_names(module, refs) == ["unused (line 4)", "Box.shut (line 11)"]
+
+
+REFERENCES = set().union(*(referenced_names(path.read_text())
+                           for tree in ("src", "tests", "collatzbench")
+                           for path in (ROOT / tree).rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_public_names(path):
+    assert unreferenced_public_names(path.read_text(), REFERENCES) == []
 
 
 def test_package_data_globs_match_shipped_files():

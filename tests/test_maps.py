@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzlab.maps import (
+    DEFAULT_MAGNITUDE_LIMIT,
+    DEFAULT_STEP_LIMIT,
+    CycleRecord,
     EnteredCycle,
+    MagnitudeLimit,
     MapDomainError,
     MapError,
     MapSyntaxError,
     ReachedTarget,
+    StepLimit,
+    Trajectory,
     c_map,
     collatz_permutation,
     atkin_permutation,
@@ -21,6 +27,76 @@ from collatzlab.maps import (
     three_x_plus_d,
     trajectory,
 )
+from collatzlab.maps import _canonical_rotation
+
+
+def trajectory_brent(map_spec, x, *, target_set=None, target_predicate=None,
+                     step_limit=DEFAULT_STEP_LIMIT, magnitude_limit=DEFAULT_MAGNITUDE_LIMIT,
+                     record_iterates=True):
+    """Oracle: the former trajectory engine.  Brent's tortoise-and-hare
+    (Brent 1980) on the iterate stream, interleaved with the target and
+    limit checks, then a second pass over the orbit to find the cycle."""
+    if step_limit <= 0 or magnitude_limit <= 0:
+        raise ValueError("limits must be positive")
+
+    def hit(v):
+        if target_set is not None and v in target_set:
+            return True
+        return target_predicate is not None and bool(target_predicate(v))
+
+    iterates = [x] if record_iterates else None
+    parity = []
+    if hit(x):
+        return Trajectory(x, 0, ReachedTarget(x), "", iterates)
+    power = lam = 1
+    tortoise = x
+    hare = map_spec.step(x)
+    parity.append(str(x & 1))
+    if record_iterates:
+        iterates.append(hare)
+    steps = 1
+    while True:
+        if hit(hare):
+            term = ReachedTarget(hare)
+            break
+        if abs(hare) > magnitude_limit:
+            term = MagnitudeLimit(hare)
+            break
+        if steps >= step_limit:
+            term = StepLimit()
+            break
+        if tortoise == hare:
+            # period is lam; rewind to find the cycle start, then extract
+            mu = 0
+            t2, h2 = x, x
+            for _ in range(lam):
+                h2 = map_spec.step(h2)
+            while t2 != h2:
+                t2 = map_spec.step(t2)
+                h2 = map_spec.step(h2)
+                mu += 1
+            cyc = [t2]
+            y = map_spec.step(t2)
+            while y != t2:
+                cyc.append(y)
+                y = map_spec.step(y)
+            record = CycleRecord(_canonical_rotation(cyc), getattr(map_spec, "label", ""))
+            if record_iterates:
+                del iterates[mu + len(cyc):]
+            term = EnteredCycle(record)
+            steps = mu + len(cyc)
+            break
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        parity.append(str(hare & 1))
+        hare = map_spec.step(hare)
+        lam += 1
+        steps += 1
+        if record_iterates:
+            iterates.append(hare)
+    return Trajectory(x, steps, term, "".join(parity[:steps]), iterates)
 
 
 # ---------------------------------------------------------------- parsing
@@ -291,3 +367,46 @@ def test_trajectory_unresolved_is_first_class():
     tr = trajectory(parse_map("qx+1:7"), 3, magnitude_limit=10**4)
     from collatzlab.maps import MagnitudeLimit
     assert isinstance(tr.termination, (MagnitudeLimit, EnteredCycle))
+
+
+# ------------------------------------------------- walker against Brent's oracle
+
+WALK_MAPS = ["T", "C", "collatz-perm", "atkin-perm", "feix3", "mahler", "teriele",
+             "3x+d:5", "qx+1:5", "qx+1:7", "wiggin:3", "queneau:6", "beta:3/2",
+             "beta:sqrt:2", "beta:1.4", "hasse:3,2,[1,2]", "d=2; 0: x/2; 1: (5x-3)/2"]
+WALK_LIMITS = [{}, {"step_limit": 1}, {"step_limit": 5}, {"step_limit": 50},
+               {"magnitude_limit": 10**4}, {"target_set": {1}},
+               {"target_set": {-1}, "target_predicate": lambda v: v % 13 == 0}]
+
+
+def outcome(engine, map_spec, x, **kw):
+    try:
+        return engine(map_spec, x, **kw)
+    except MapDomainError as e:
+        return "MapDomainError", e.value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(WALK_MAPS), st.integers(-60, 60), st.sampled_from(WALK_LIMITS),
+       st.booleans())
+def test_trajectory_matches_brent(name, x, limits, record):
+    m = parse_map(name)
+    kw = {**limits, "record_iterates": record}
+    got, want = outcome(trajectory, m, x, **kw), outcome(trajectory_brent, m, x, **kw)
+    if got != want:
+        # The one allowed difference: the walker sees a cycle at its first
+        # repeat, within the step limit, where Brent's detection came later.
+        assert isinstance(want.termination, StepLimit)
+        assert isinstance(got.termination, EnteredCycle)
+        assert got.steps <= want.steps
+        # Brent detects a cycle within 3(mu + lambda) steps of the start.
+        assert got == trajectory_brent(m, x, **{**kw, "step_limit": 4 * (got.steps + 1)})
+
+
+def test_trajectory_sees_a_cycle_at_its_first_repeat():
+    # -20 -> -10 -> -5 -> -7 -> -10: the repeat comes at step 4 <= 5
+    tr = trajectory(t_map(), -20, step_limit=5)
+    assert isinstance(tr.termination, EnteredCycle)
+    assert tr.termination.cycle.elements == (-5, -7, -10)
+    assert tr.steps == 4 and tr.iterates == [-20, -10, -5, -7] and tr.parity == "0011"
+    assert isinstance(trajectory_brent(t_map(), -20, step_limit=5).termination, StepLimit)

@@ -12,6 +12,7 @@ from collatzlab.coeffstop import verify_coefficient_conjecture
 from collatzlab.cycles import cycle_length_lower_bound, rational_cycles_3xd
 from collatzlab.fractran import PRIMEGAME, FractranProgram, fractran_run
 from collatzlab.stats import excursion_records, verify_range
+from collatzlab.trees import extremal_spread, tree_counts
 
 
 def validator(schema_id):
@@ -87,6 +88,32 @@ def test_rational_cycles_reports(d):
     validator(doc["schema"]).validate(doc)
 
 
+@pytest.mark.parametrize("a, depth, mode, pruned", [
+    (1, 0, "counts", False),
+    (5, 12, "counts", False),
+    (5, 12, "counts", True),
+    (-17, 20, "full", False),
+    (7, 30, "full", True),
+    (0, 40, "counts", False),
+])
+def test_tree_reports(a, depth, mode, pruned):
+    doc = as_json(tree_counts(a, depth, mode=mode, pruned=pruned))
+    assert len(doc["counts"]) == depth
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("depth, roots, classes", [
+    (0, [2, 4], 0),
+    (10, range(2, 200), 0),
+    (8, range(2, 400), 1),
+    (6, range(-50, 300), 3),
+])
+def test_tree_spread_reports(depth, roots, classes):
+    doc = as_json(extremal_spread(depth, roots, mod_power_classes=classes))
+    assert bool(doc["class_means"]) == bool(classes)
+    validator(doc["schema"]).validate(doc)
+
+
 def test_schemas_reject_a_broken_report():
     doc = as_json(verify_coefficient_conjecture(60))
     check = validator(doc["schema"])
@@ -116,5 +143,17 @@ def test_schemas_reject_a_broken_report():
     check = validator(doc["schema"])
     for broken in ({**doc, "champions": [[27, 4616]]}, {**doc, "champions": []},
                    {k: v for k, v in doc.items() if k != "bound_violations"}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(tree_counts(5, 6, pruned=True))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "counts": [2, 0]}, {**doc, "pruned": "yes"},
+                   {k: v for k, v in doc.items() if k != "root"}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(extremal_spread(6, range(2, 100), mod_power_classes=1))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "min": [3, 5]}, {**doc, "max": [4]},
+                   {**doc, "class_means": {"one": 1.0}}, {**doc, "mean": "1.5"}):
         with pytest.raises(ValidationError):
             check.validate(broken)

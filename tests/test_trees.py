@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collatzlab import maps, trees
+from collatzlab import trees
+from collatzlab.maps import EnteredCycle, ReachedTarget, t_map, trajectory
 from collatzlab.stats import t_step_int
 from collatzlab.trees import (
     extremal_spread,
@@ -104,6 +106,45 @@ def test_growth_bracket_k30_sample():
         assert 1.29 <= n30 ** (1 / 30) <= 1.37
 
 
+def reach_count_bfs(a, x, magnitude_factor=64):
+    """Oracle: the former reach_count.  Reverse breadth-first search from a
+    over all preimages up to a magnitude cap, then a forward trajectory for
+    every n with |n| <= x that the search missed."""
+    cap = max(4 * abs(a) + 16, magnitude_factor * x)
+    frontier = {a}
+    seen = {a}
+    while frontier:
+        nxt = set()
+        for v in frontier:
+            for c in preimages(v):
+                if c not in seen and abs(c) <= cap:
+                    seen.add(c)
+                    nxt.add(c)
+        frontier = nxt
+    found = {v for v in seen if abs(v) <= x}
+    for n in range(-x, x + 1):
+        if n in found:
+            continue
+        tr = trajectory(t_map(), n, target_set={a}, step_limit=4096, record_iterates=False)
+        if isinstance(tr.termination, ReachedTarget):
+            found.add(n)
+        elif not isinstance(tr.termination, EnteredCycle):
+            raise RuntimeError(f"n={n} is unresolved")
+    return len(found)
+
+
+@pytest.mark.parametrize("a", [1, 2, 4, 5, 7, 27, 0, -1, -5, -17])
+def test_reach_count_matches_bfs(a):
+    for x in (0, 1, 2, 10, 100, 1000, 2000):
+        assert reach_count(a, x) == reach_count_bfs(a, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-300, 300), st.integers(-2, 400))
+def test_reach_count_matches_bfs_anywhere(a, x):
+    assert reach_count(a, x) == reach_count_bfs(a, x)
+
+
 def test_reach_count_one():
     assert reach_count(1, 100) == 100
     assert reach_count(1, 1) == 1
@@ -111,8 +152,7 @@ def test_reach_count_one():
 
 def test_reach_count_raises_at_a_limit(monkeypatch):
     # a forward run that stops at its step limit is unresolved, not a "no"
-    monkeypatch.setattr(trees, "trajectory",
-                        lambda *a, **kw: maps.trajectory(*a, **{**kw, "step_limit": 2}))
+    monkeypatch.setattr(trees, "DEFAULT_STEP_LIMIT", 2)
     with pytest.raises(RuntimeError, match="n=-20 "):
         reach_count(1, 20)
 
