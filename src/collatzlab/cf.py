@@ -189,11 +189,11 @@ def _quotients_from_bounds(lo: int, hi: int, scale: int, depth: int) -> list[int
     return out
 
 
-def cf_log2_3(depth: int, power_cert_limit: int = POWER_CERT_LIMIT) -> ContinuedFraction:
+def cf_log2_3(depth: int) -> ContinuedFraction:
     """First `depth` partial quotients of log2(3), exactly certified.
 
     Quotients come from a certified integer interval around log2(3); every
-    convergent p/q with q <= power_cert_limit is additionally certified by
+    convergent p/q with q <= POWER_CERT_LIMIT is additionally certified by
     the direct comparison of 2^p against 3^q (signs must alternate, which
     pins the convergents of an irrational target).
     """
@@ -212,7 +212,7 @@ def cf_log2_3(depth: int, power_cert_limit: int = POWER_CERT_LIMIT) -> Continued
     if quotients is None:
         raise PrecisionExhausted("continued fraction prefix did not stabilize")
     cf = ContinuedFraction(target="log2_3", quotients=quotients)
-    cf.power_certified_depth = _power_certify(cf, power_cert_limit)
+    cf.power_certified_depth = _power_certify(cf, POWER_CERT_LIMIT)
     return cf
 
 

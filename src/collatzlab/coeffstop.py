@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .cf import cf_log2_3
-from .kernel import descend, t_step_int
-from .maps import DEFAULT_STEP_LIMIT
+from .kernel import descend
+from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 DEFAULT_K_CAP = 4000
 
@@ -52,38 +52,33 @@ class CoeffStopRecord:
 
 
 def coeff_stop_record(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> CoeffStopRecord:
-    """Exact coefficient stopping time of n; the affine identity at k is
-    checked by replay and raises ArithmeticError if it fails."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    x = n
-    a = 0
-    B = 0
-    k = None
-    a_at_k = B_at_k = 0
-    sigma = None
-    for j in range(1, step_limit + 1):
+    """Exact coefficient stopping time kappa of n, read from one maps._walk
+    path stopped at the first iterate below n, under the walker's limit
+    policy (step_limit and DEFAULT_MAGNITUDE_LIMIT).
+
+    kappa <= sigma, so that path holds every parity kappa depends on.
+    (a, B) are built from its parities, and the affine identity
+    T^kappa(n) = coeff * n + offset is checked against the path's own
+    iterate; a failure raises ArithmeticError.
+    """
+    if n < 2 or step_limit < 1:
+        raise ValueError("n must be >= 2 and step_limit >= 1")
+    path, _, v = _walk(t_map(), n, range(1, n), step_limit, DEFAULT_MAGNITUDE_LIMIT)
+    sigma = len(path) if v < n else None
+    a = B = 0
+    for k, x in enumerate(path, 1):
         if x & 1:
-            B = 3 * B + (1 << (j - 1))
+            B = 3 * B + (1 << (k - 1))
             a += 1
-        x = t_step_int(x)
-        if k is None and 3**a < (1 << j):
-            k, a_at_k, B_at_k = j, a, B
-        if sigma is None and x < n:
-            sigma = j
-        if k is not None and sigma is not None:
+        if 3**a < 1 << k:
             break
-    if k is None:
+    else:
         return CoeffStopRecord(n, None, None, None, None, sigma)
-    coeff = Fraction(3**a_at_k, 1 << k)
-    offset = Fraction(B_at_k, 1 << k)
-    # affine identity at k: T^k(n) = coeff * n + offset, exactly
-    y = n
-    for _ in range(k):
-        y = t_step_int(y)
-    if coeff * n + offset != y:
+    coeff = Fraction(3**a, 1 << k)
+    offset = Fraction(B, 1 << k)
+    if coeff * n + offset != (path[k] if k < len(path) else v):
         raise ArithmeticError(f"affine identity failed at n={n}, k={k}")
-    return CoeffStopRecord(n, k, a_at_k, coeff, offset, sigma)
+    return CoeffStopRecord(n, k, a, coeff, offset, sigma)
 
 
 @dataclass
@@ -171,7 +166,6 @@ def _crossing_maxima(k_max: int) -> list[tuple[int, int, int]]:
 
 def verify_coefficient_conjecture(
     k_max: int,
-    k_cap: int = DEFAULT_K_CAP,
     verified_conjecture_bound: Optional[int] = None,
 ) -> CoeffStopReport:
     """Certify that the coefficient stopping time equals the stopping time
@@ -186,8 +180,8 @@ def verify_coefficient_conjecture(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if k_max > k_cap:
-        raise ValueError(f"k_max exceeds configured cap {k_cap}")
+    if k_max > DEFAULT_K_CAP:
+        raise ValueError(f"k_max exceeds the cap {DEFAULT_K_CAP}")
     ranked = []
     for a, k, B in _crossing_maxima(k_max):
         den = (1 << k) - 3**a

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .cf import FRAC_BITS, log2_3_fixed, log2_bounds, log2_with_reciprocal_fixed
-from .maps import CycleRecord, three_x_plus_d
+from .maps import CycleRecord, _canonical_rotation, _walk, three_x_plus_d
 
 
 def word_offset(parity: str) -> tuple[int, int]:
@@ -94,47 +94,39 @@ def rational_cycles_3xd(d: int, max_period: int) -> RationalCycleReport:
     most max_period and elements coprime to d, by exact evaluation of the
     cycle value over parity necklaces followed by replay verification.
 
+    A candidate x of a word of length p is replayed by one maps._walk call
+    of at most p steps, which stops at the first repeated iterate.  It is a
+    cycle only if the walk returns to x after exactly p steps (so the word
+    is not a repeat of a shorter cycle's) with the word as its parities.
+
     These are in bijection with rational cycles x/d of the 3x+1 map.
     """
     if d < 1 or d % 2 == 0 or d % 3 == 0:
         raise ValueError("d must be odd, positive, and coprime to 3 (d = +/-1 mod 6)")
     if max_period > 40:
         raise ValueError("necklace enumeration capped at period 40")
+    spec = three_x_plus_d(d)
     found: dict[tuple[int, ...], CycleRecord] = {}
     for period in range(1, max_period + 1):
         for word in _necklace_words(period):
-            m = sum(word)
-            if m == 0:
-                continue
-            parity = "".join(map(str, word))
-            mm, B = word_offset(parity)
-            den = (1 << period) - 3**mm
+            m, B = word_offset("".join(map(str, word)))
+            den = (1 << period) - 3**m
             num = d * B
             if den == 0 or num % den:
                 continue
             x = num // den
             if x <= 0 or gcd(x, d) != 1:
                 continue
-            # replay exactly; reject words that are not the true parities
-            orbit = [x]
-            v = x
-            ok = True
-            for bit in parity:
-                if (v & 1) != int(bit):
-                    ok = False
-                    break
-                v = (3 * v + d) // 2 if v & 1 else v // 2
-                orbit.append(v)
-            if not ok or orbit[-1] != x:
+            # replay: the walk must close at x along the whole word, so
+            # after exactly period steps.  Every element of a cycle is
+            # d B' / den for the B' < 6^period of its rotation, so the
+            # magnitude limit never trips.
+            path, _, v = _walk(spec, x, (), period, d << 3 * period)
+            if v != x or tuple(u & 1 for u in path) != word:
                 continue
-            core = orbit[:-1]
-            if len(set(core)) != len(core):
-                continue  # repeated traversal of a shorter cycle
-            i = core.index(min(core))
-            canon = tuple(core[i:] + core[:i])
+            canon = _canonical_rotation(path)
             found.setdefault(canon, CycleRecord(canon, f"3x+d:{d}"))
     cycles = sorted(found.values(), key=lambda c: (c.period, c.min_element))
-    spec = three_x_plus_d(d)
     for c in cycles:
         if not c.verify(spec):
             raise ArithmeticError(f"cycle {c.elements} does not replay under 3x+{d}")

@@ -177,6 +177,8 @@ def fractran_run(
     """
     if halt not in ("power_of_two", "value", "none"):
         raise ValueError("unknown halt predicate")
+    if max_outputs is not None and max_outputs < 1:
+        raise ValueError("max_outputs must be >= 1")
     outputs: list[int] = []
     steps, final, halted, budget = 0, m0, False, False
     run = islice(fractran_iter(prog, m0), 1, None)  # m0 is not an output

@@ -1,10 +1,12 @@
 """Iterable integer maps: a residue-affine DSL plus named special forms,
 with a trajectory engine and exact cycle detection.
 
-One orbit walker, _walk, steps every orbit that trajectory, find_cycles
-and trees.reach_count follow.  It keeps the path, so a cycle is certified
-at its first repeated iterate, and it applies the one limit policy: a step
-limit and a magnitude limit, past which the orbit is unresolved.
+One orbit walker, _walk, steps every orbit that trajectory, find_cycles,
+trees.reach_count, stats.stats_record (and so stats.height_and_total_stop),
+coeffstop.coeff_stop_record and the replay of cycles.rational_cycles_3xd
+follow.  It keeps the path, so a cycle is certified at its first repeated
+iterate, and it applies the one limit policy: a step limit and a magnitude
+limit, past which the orbit is unresolved.
 
 Residues always use mathematical mod (0 <= r < d), so maps act on negative
 integers the way the cycle catalogue expects ({-1}, {-5,-7,-10} and the
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 from typing import Callable, Container, Iterable, Optional, Union
 
@@ -173,6 +176,7 @@ def _affine(modulus: int, rows: Iterable[tuple[Fraction, Fraction]], label: str,
 F = Fraction
 
 
+@cache  # frozen, and built per call by stats_record and coeff_stop_record
 def t_map() -> ResidueAffineMap:
     return _affine(2, [(F(1, 2), F(0)), (F(3, 2), F(1, 2))], "T")
 

@@ -7,7 +7,10 @@ largest iterate T^k(n) over k >= 1.
 
 The sweeps run on `kernel.descend`: int64 numpy arrays, with any orbit
 that crosses the int64 guard run in exact Python ints, so every reported
-number is the result of exact arithmetic.
+number is the result of exact arithmetic.  The per-integer records
+(stats_record, and height_and_total_stop, equal_height_tuples and
+sweep_csv_rows through it) read one `maps._walk` path each, under the
+walker's step and magnitude limits.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import descend, t_step, t_step_int
-from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT
+from .kernel import descend, t_step
+from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 SIEVE_K_MAX = 26
 
@@ -73,45 +76,33 @@ def stats_record(
     magnitude_limit: int = DEFAULT_MAGNITUDE_LIMIT,
     parity_bits: int = 64,
 ) -> StatsRecord:
-    """Exact T-form statistics for one starting value."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = n
-    sigma = None
-    sigma_inf = None
-    odd_count = 0
-    peak = None
-    parity = []
-    steps = 0
-    while steps < step_limit and abs(x) <= magnitude_limit:
-        if x == 1 and steps > 0:
-            sigma_inf = steps
-            break
-        if len(parity) < parity_bits:
-            parity.append("1" if x & 1 else "0")
-        odd_count += x & 1
-        x = t_step_int(x)
-        steps += 1
-        peak = x if peak is None else max(peak, x)
-        if sigma is None and x < n:
-            sigma = steps
-    resolved = sigma_inf is not None
-    if resolved:
-        # the tail orbit is the {1, 2} cycle, so the excursion includes 2
-        peak = max(peak, 2)
-    height = sigma_inf + odd_count if resolved else None
-    gamma = None
-    if resolved and n > 1:
-        gamma = sigma_inf / math.log(n)
+    """Exact T-form statistics for one starting value, read from one
+    maps._walk path under the walker's limit policy.
+
+    The walk from n > 1 stops at 1; the walk from 1 goes around the {1, 2}
+    cycle back to 1.  The record is resolved when the walk ends at 1, which
+    it may do at exactly step_limit steps; then sigma_inf is the number of
+    steps.  sigma is the first j with T^j(n) < n, and the excursion is the
+    largest T^j(n), j >= 1, at least 2.  As in trajectory, only the
+    iterates after n are tested against magnitude_limit, so a start above
+    it is still walked.
+    """
+    if n < 1 or step_limit < 1:
+        raise ValueError("n and step_limit must be >= 1")
+    path, _, v = _walk(t_map(), n, (1,) if n > 1 else (), step_limit, magnitude_limit)
+    later = path[1:] + [v]  # T^j(n) for j = 1..len(path)
+    sigma = next((j for j, x in enumerate(later, 1) if x < n), None)
+    resolved = v == 1
+    odd_count = sum(x & 1 for x in path)
     return StatsRecord(
         n=n,
         stopping_time=sigma,
-        total_stopping_time=sigma_inf,
+        total_stopping_time=len(path) if resolved else None,
         odd_count=odd_count if resolved else None,
-        height=height,
-        gamma=gamma,
-        excursion=peak if resolved else None,
-        parity_prefix="".join(parity),
+        height=len(path) + odd_count if resolved else None,
+        gamma=len(path) / math.log(n) if resolved and n > 1 else None,
+        excursion=max(max(later), 2) if resolved else None,
+        parity_prefix="".join("1" if x & 1 else "0" for x in path[:parity_bits]),
         resolved=resolved,
         step_limit=step_limit,
         magnitude_limit_bits=magnitude_limit.bit_length(),
@@ -119,14 +110,15 @@ def stats_record(
 
 
 def height_and_total_stop(n: int) -> tuple[int, int]:
-    """(height in C-steps, total stopping time in T-steps); exact, no limits."""
-    h = s = 0
-    x = n
-    while x != 1:
-        h += 1 + (x & 1)
-        x = t_step_int(x)
-        s += 1
-    return h, s
+    """(height in C-steps, total stopping time in T-steps), read from
+    stats_record(n) under the default limits; both are 0 at n = 1, where
+    every orbit ends.  RuntimeError names an n whose walk is unresolved."""
+    if n == 1:
+        return 0, 0
+    r = stats_record(n)
+    if not r.resolved:
+        raise RuntimeError(f"n={n} did not reach 1 within the default limits")
+    return r.height, r.total_stopping_time
 
 
 # ---------------------------------------------------------------------------

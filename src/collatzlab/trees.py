@@ -82,6 +82,8 @@ def tree_counts(
     (they can never reach an odd branch again), which is the tree whose
     leaf counts grow like (4/3)^depth.
     """
+    if mode not in ("counts", "full"):
+        raise ValueError("mode must be 'counts' or 'full'")
     cap = 30 if mode == "full" else 40
     if not 0 <= depth <= cap:
         raise ValueError(f"depth must be in 0..{cap} for mode {mode!r}")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatzlab import coeffstop
 from collatzlab.coeffstop import (
@@ -10,7 +11,14 @@ from collatzlab.coeffstop import (
     residue_class_structure,
     verify_coefficient_conjecture,
 )
-from collatzlab.stats import t_step_int
+from collatzlab.kernel import t_step_int
+from collatzlab.maps import (
+    DEFAULT_MAGNITUDE_LIMIT,
+    MagnitudeLimit,
+    t_map,
+    three_x_plus_d,
+    trajectory,
+)
 
 
 def dominating_offset_maxima_dp(k_max):
@@ -39,11 +47,63 @@ def dominating_offset_maxima_dp(k_max):
     return out
 
 
+def coeff_stop_record_loop(n, step_limit=coeffstop.DEFAULT_STEP_LIMIT):
+    """The scalar T loop coeff_stop_record used before it read the walker,
+    with its second loop that replays the orbit to check the affine identity
+    (the reference for the walker's records)."""
+    x = n
+    a = 0
+    B = 0
+    k = None
+    a_at_k = B_at_k = 0
+    sigma = None
+    for j in range(1, step_limit + 1):
+        if x & 1:
+            B = 3 * B + (1 << (j - 1))
+            a += 1
+        x = t_step_int(x)
+        if k is None and 3**a < (1 << j):
+            k, a_at_k, B_at_k = j, a, B
+        if sigma is None and x < n:
+            sigma = j
+        if k is not None and sigma is not None:
+            break
+    if k is None:
+        return coeffstop.CoeffStopRecord(n, None, None, None, None, sigma)
+    coeff = Fraction(3**a_at_k, 1 << k)
+    offset = Fraction(B_at_k, 1 << k)
+    y = n
+    for _ in range(k):
+        y = t_step_int(y)
+    if coeff * n + offset != y:
+        raise ArithmeticError(f"affine identity failed at n={n}, k={k}")
+    return coeffstop.CoeffStopRecord(n, k, a_at_k, coeff, offset, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3000) | st.integers(40, 200).flatmap(
+           lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+       st.sampled_from([1, 2, 5, 10, 59, 10**5]) | st.integers(1, 300))
+def test_record_matches_loop(n, step_limit):
+    got = coeff_stop_record(n, step_limit)
+    if got != coeff_stop_record_loop(n, step_limit):
+        # (d) the only allowed difference: the walk stops at the default
+        # magnitude limit, which the loop did not have
+        tr = trajectory(t_map(), n, step_limit=step_limit, target_predicate=lambda v: v < n,
+                        magnitude_limit=DEFAULT_MAGNITUDE_LIMIT)
+        assert isinstance(tr.termination, MagnitudeLimit)
+
+
 def test_record_2():
     r = coeff_stop_record(2)
     assert r.k == 1
     assert r.coeff == Fraction(1, 2)
     assert r.offset == 0
+
+
+def test_record_rejects_step_limit_below_one():
+    with pytest.raises(ValueError):
+        coeff_stop_record(2, step_limit=0)  # the walker takes a step at any limit
 
 
 def test_record_3():
@@ -140,6 +200,6 @@ def test_k_cap_usage_error():
 def test_affine_identity_failure_raises(monkeypatch):
     # the affine-identity check must hold under python -O, so it cannot be
     # an assert
-    monkeypatch.setattr(coeffstop, "t_step_int", lambda x: t_step_int(x) + 1)
+    monkeypatch.setattr(coeffstop, "t_map", lambda: three_x_plus_d(3))
     with pytest.raises(ArithmeticError):
         coeff_stop_record(27)

@@ -156,6 +156,12 @@ def test_run_budget_edges():
         primegame_exponents(1, max_steps=0)
 
 
+@pytest.mark.parametrize("max_outputs", [0, -1])
+def test_run_rejects_max_outputs_below_one(max_outputs):
+    with pytest.raises(ValueError, match="max_outputs"):
+        fractran_run(FractranProgram(PRIMEGAME), 2, max_outputs=max_outputs)
+
+
 def test_conway_identity_map():
     m = parse_map("d=2; 0: x; 1: x")
     tr = conway_iterate(m, 6, step_limit=10)

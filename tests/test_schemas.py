@@ -2,17 +2,23 @@
 one file per schema id stamped into to_dict()."""
 
 import json
+import re
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
-from collatzlab.coeffstop import verify_coefficient_conjecture
+from collatzlab.coeffstop import coeff_stop_record, verify_coefficient_conjecture
 from collatzlab.cycles import cycle_length_lower_bound, rational_cycles_3xd
 from collatzlab.fractran import PRIMEGAME, FractranProgram, fractran_run
-from collatzlab.stats import excursion_records, verify_range
+from collatzlab.stats import excursion_records, stats_record, verify_range
 from collatzlab.trees import extremal_spread, tree_counts
+from collatzlab.twoadic import conjugacy_check, perm_analysis
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "collatzlab"
+BIG = 3**126 + 2**199  # a 200-bit start
 
 
 def validator(schema_id):
@@ -114,6 +120,55 @@ def test_tree_spread_reports(depth, roots, classes):
     validator(doc["schema"]).validate(doc)
 
 
+def stamped_schema_ids(source: str) -> set[str]:
+    """The schema ids a module stamps into its reports."""
+    return set(re.findall(r'"collatzlab/([a-z0-9-]+)"', source))
+
+
+def test_every_stamped_schema_id_ships_a_file():
+    ids = set().union(*(stamped_schema_ids(p.read_text()) for p in SRC.glob("*.py")))
+    assert len(ids) == 12
+    assert sorted(i for i in ids if not (SRC / "schemas" / f"{i}.json").is_file()) == []
+
+
+def test_scan_finds_stamped_schema_ids():
+    source = 'x = {"schema": "collatzlab/tree-v1"}\ny = "collatzlab/"\nz = "collatzlab/a-2"\n'
+    assert stamped_schema_ids(source) == {"tree-v1", "a-2"}
+
+
+@pytest.mark.parametrize("n, kwargs, resolved", [
+    (27, {}, True),
+    (1, {}, True),
+    (2, {"step_limit": 1}, True),           # 1 at exactly the step limit
+    (27, {"step_limit": 10}, False),
+    (27, {"magnitude_limit": 100}, False),
+    (1, {"step_limit": 1}, False),
+    (BIG, {}, True),
+    (BIG, {"parity_bits": 200}, True),
+], ids=["27", "1", "2-at-limit", "step-limit", "magnitude-limit", "1-unresolved", "big",
+        "big-long-prefix"])
+def test_stats_record_reports(n, kwargs, resolved):
+    doc = as_json(stats_record(n, **kwargs))
+    assert doc["resolved"] == resolved
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("n, step_limit", [
+    (2, 10**5), (3, 10**5), (27, 10**5), (27, 5), (27, 58), (BIG, 10**5),
+])
+def test_coeffstop_record_reports(n, step_limit):
+    doc = as_json(coeff_stop_record(n, step_limit))
+    assert (doc["kappa"] is None) == (n == 27 and step_limit < 59)
+    validator(doc["schema"]).validate(doc)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_twoadic_reports(n):
+    for report in (perm_analysis(n), conjugacy_check(n)):
+        doc = as_json(report)
+        validator(doc["schema"]).validate(doc)
+
+
 def test_schemas_reject_a_broken_report():
     doc = as_json(verify_coefficient_conjecture(60))
     check = validator(doc["schema"])
@@ -155,5 +210,28 @@ def test_schemas_reject_a_broken_report():
     check = validator(doc["schema"])
     for broken in ({**doc, "min": [3, 5]}, {**doc, "max": [4]},
                    {**doc, "class_means": {"one": 1.0}}, {**doc, "mean": "1.5"}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(stats_record(27))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "height": None}, {**doc, "n": 27}, {**doc, "parity_prefix": "12"},
+                   {**as_json(stats_record(27, step_limit=10)), "sigma_inf": 70}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(coeff_stop_record(27))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "alpha": None}, {**doc, "kappa": 0}, {**doc, "beta": "1/-2"},
+                   {**as_json(coeff_stop_record(27, 5)), "odd_steps": 3}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(perm_analysis(6))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "n": 3}, {**doc, "cycle_length_counts": {"0": 1}},
+                   {**doc, "fixed_points": list(range(65))}):
+        with pytest.raises(ValidationError):
+            check.validate(broken)
+    doc = as_json(conjugacy_check(6))
+    check = validator(doc["schema"])
+    for broken in ({**doc, "mismatches": [5]}, {**doc, "ok": False}, {**doc, "checked": "64"}):
         with pytest.raises(ValidationError):
             check.validate(broken)

@@ -1,12 +1,16 @@
 """Statistics, verification sweeps, densities, runs, and excursions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatzlab import stats
+from collatzlab.kernel import t_step_int
+from collatzlab.maps import ReachedTarget, t_map, trajectory
 from collatzlab.stats import (
     below_power_density,
     class_sieve,
@@ -16,7 +20,6 @@ from collatzlab.stats import (
     stats_record,
     stopping_density,
     sweep_csv_rows,
-    t_step_int,
     verify_range,
 )
 
@@ -87,6 +90,110 @@ def test_height_helper_matches_record():
         h, s = height_and_total_stop(n)
         r = stats_record(n)
         assert (h, s) == (r.height, r.total_stopping_time)
+
+
+def stats_record_loop(n, step_limit=stats.DEFAULT_STEP_LIMIT,
+                      magnitude_limit=stats.DEFAULT_MAGNITUDE_LIMIT, parity_bits=64):
+    """The scalar T loop stats_record used before it read the walker: it
+    stops before a step once step_limit steps are taken or the current
+    iterate, the start included, passes magnitude_limit (the reference for
+    the walker's records)."""
+    x = n
+    sigma = None
+    sigma_inf = None
+    odd_count = 0
+    peak = None
+    parity = []
+    steps = 0
+    while steps < step_limit and abs(x) <= magnitude_limit:
+        if x == 1 and steps > 0:
+            sigma_inf = steps
+            break
+        if len(parity) < parity_bits:
+            parity.append("1" if x & 1 else "0")
+        odd_count += x & 1
+        x = t_step_int(x)
+        steps += 1
+        peak = x if peak is None else max(peak, x)
+        if sigma is None and x < n:
+            sigma = steps
+    resolved = sigma_inf is not None
+    if resolved:
+        peak = max(peak, 2)
+    return stats.StatsRecord(
+        n=n,
+        stopping_time=sigma,
+        total_stopping_time=sigma_inf,
+        odd_count=odd_count if resolved else None,
+        height=sigma_inf + odd_count if resolved else None,
+        gamma=sigma_inf / math.log(n) if resolved and n > 1 else None,
+        excursion=peak if resolved else None,
+        parity_prefix="".join(parity),
+        resolved=resolved,
+        step_limit=step_limit,
+        magnitude_limit_bits=magnitude_limit.bit_length(),
+    )
+
+
+STARTS = st.integers(1, 3000) | st.integers(40, 200).flatmap(
+    lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+STEP_LIMITS = st.sampled_from([1, 2, 5, 10, 59, 60, 70, 71, 100, 10**5]) | st.integers(1, 300)
+MAGNITUDE_LIMITS = st.sampled_from([8, 1000, 2**64, 2**1024])
+
+
+@settings(max_examples=400, deadline=None)
+@given(STARTS, STEP_LIMITS, MAGNITUDE_LIMITS)
+def test_record_matches_loop(n, step_limit, magnitude_limit):
+    got = stats_record(n, step_limit, magnitude_limit)
+    want = stats_record_loop(n, step_limit, magnitude_limit)
+    if got == want:
+        return
+    if n > magnitude_limit:
+        # (b) a start above the magnitude limit is walked as trajectory
+        # walks it, where the loop gave up before its first step
+        tr = trajectory(t_map(), n, target_set={1}, step_limit=step_limit,
+                        magnitude_limit=magnitude_limit)
+        assert got.resolved == isinstance(tr.termination, ReachedTarget)
+        assert got.parity_prefix == tr.parity[:64]
+        if got.resolved:
+            assert got.total_stopping_time == tr.steps
+        return
+    # (a) the walk reaches 1 at exactly step_limit steps, one step past the
+    # loop's last test for 1
+    assert got.resolved and not want.resolved
+    assert got.total_stopping_time == step_limit
+    late = stats_record_loop(n, step_limit + 1, magnitude_limit)
+    assert got == dataclasses.replace(late, step_limit=step_limit)
+
+
+def test_record_reaches_one_at_the_step_limit():
+    assert stats_record(27, step_limit=70).total_stopping_time == 70
+    assert trajectory(t_map(), 27, target_set={1}, step_limit=70).steps == 70
+    assert not stats_record(27, step_limit=69).resolved
+    assert stats_record(2, step_limit=1).total_stopping_time == 1
+    assert stats_record(1, step_limit=2).total_stopping_time == 2
+    assert not stats_record(1, step_limit=1).resolved
+    with pytest.raises(ValueError):
+        stats_record(2, step_limit=0)  # the walker takes a step at any limit
+
+
+def test_record_walks_a_start_above_the_magnitude_limit():
+    r = stats_record(16, magnitude_limit=8)
+    assert r.resolved and r.total_stopping_time == 4 and r.excursion == 8
+    assert not stats_record(27, magnitude_limit=8).resolved
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_height_helper_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError):
+        height_and_total_stop(n)
+
+
+def test_height_helper_raises_when_unresolved():
+    # 2^1099 passes the default magnitude limit 2^1024 on the first step
+    with pytest.raises(RuntimeError, match="did not reach 1"):
+        height_and_total_stop(2**1100)
+    assert height_and_total_stop(1) == (0, 0)
 
 
 # ------------------------------------------------------------ verify_range

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import trees
 from collatzlab.maps import EnteredCycle, ReachedTarget, t_map, trajectory
-from collatzlab.stats import t_step_int
+from collatzlab.kernel import t_step_int
 from collatzlab.trees import (
     extremal_spread,
     odd_preimage,
@@ -63,6 +63,12 @@ def test_tree_count_recurrence_and_level_soundness():
 def test_counts_mode_equals_full_mode():
     for a in (5, 7, 11):
         assert tree_counts(a, 14).counts == tree_counts(a, 14, mode="full").counts
+
+
+@pytest.mark.parametrize("mode", ["ful", "Full", ""])
+def test_tree_counts_rejects_an_unknown_mode(mode):
+    with pytest.raises(ValueError, match="mode"):
+        tree_counts(1, 3, mode=mode)
 
 
 def test_cycle_node_backflow_included():
