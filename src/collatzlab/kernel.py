@@ -1,5 +1,7 @@
 """The T-step kernel: the one place that steps T(x) = (3x+1)/2 for odd x,
 x/2 for even x, and the one overflow policy of the vectorized sweeps.
+`lift` is the one place that builds residue tables mod 2^k: the jump table
+here, the stopping-time sieve and the 2-adic parity table read it.
 
 Every sweep is a descent: iterate T on a batch of starts until each first
 falls below a threshold (the start itself for the stopping time; Terras
@@ -12,7 +14,7 @@ and no caller sees an overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,18 +78,36 @@ def descend(
     return Descent(_descend_jumps(starts, step_limit, threshold))
 
 
-def _jump_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(3^c(r), T^k(r)) for r < 2^k, c(r) the odd steps of r among its first k."""
-    v = np.arange(1 << k, dtype=np.int64)
-    c = np.zeros(1 << k, dtype=np.int64)
-    for _ in range(k):
+def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
+    """The classes r mod 2^k in ascending order with T^k(r), 3^a(r) (a(r)
+    the odd steps among the first k) and the parity word (bit i the parity
+    of T^i(r)): four int64 arrays built by lifting (Terras 1976; Everett
+    1977).  n = r mod 2^j shares the first j parities of r, so T^j(n) =
+    (3^a(r) n + B(r)) / 2^j, and r lifts to r and r + 2^j mod 2^(j+1) with
+    T^j(r + 2^j) = T^j(r) + 3^a(r): each level takes one T-step per class.
+    keep(j, r, v, p), if given, sees the classes mod 2^j with v = T^j(r) and
+    p = 3^a(r) at each level j = 1..k and returns the mask of those to lift.
+
+    int64 is exact for k <= 38: T(x) + 1 <= 3(x + 1)/2, so r < 2^(j+1) has
+    T^j(r) + 1 <= 2 * 3^j, and the next step's 3 T^j(r) + 1 < 6 * 3^j < 2^63.
+    """
+    r, v, p, w = (np.array([x], dtype=np.int64) for x in (0, 0, 1, 0))
+    for j in range(k):
+        r = np.concatenate((r, r + (1 << j)))
+        v = np.concatenate((v, v + p))
+        p = np.concatenate((p, p))
+        w = np.concatenate((w, w))
         v, odd = t_step(v)
-        c += odd
-    return 3**c, v
+        p += (p << 1) * odd
+        w |= odd << j
+        if keep is not None:
+            alive = keep(j + 1, r, v, p)
+            r, v, p, w = r[alive], v[alive], p[alive], w[alive]
+    return r, v, p, w
 
 
 _K = 8
-_JUMP_MUL, _JUMP_ADD = _jump_table(_K)
+_, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
 
 
 def _descend_jumps(starts: np.ndarray, step_limit: int, thr: np.ndarray) -> np.ndarray:

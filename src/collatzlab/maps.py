@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from typing import Callable, Container, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional
 
 
 class MapError(ValueError):
@@ -157,7 +157,7 @@ class FloorSqrt3Map:
         return isqrt(3 * x * x)
 
 
-MapSpec = Union[ResidueAffineMap, CeilingMap, FloorSqrt3Map]
+MapSpec = ResidueAffineMap | CeilingMap | FloorSqrt3Map
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ class MagnitudeLimit:
     value: int
 
 
-Termination = Union[ReachedTarget, EnteredCycle, StepLimit, MagnitudeLimit]
+Termination = ReachedTarget | EnteredCycle | StepLimit | MagnitudeLimit
 
 DEFAULT_STEP_LIMIT = 10**5
 DEFAULT_MAGNITUDE_LIMIT = 1 << 1024

@@ -11,6 +11,10 @@ number is the result of exact arithmetic.  The per-integer records
 (stats_record, and height_and_total_stop, equal_height_tuples and
 sweep_csv_rows through it) read one `maps._walk` path each, under the
 walker's step and magnitude limits.
+
+At n = 1 the two readers count differently: height_and_total_stop counts
+the steps to first reach 1, so it gives (0, 0), while stats_record(1) walks
+the {1, 2} cycle back to 1 (sigma_inf 2, height 3).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import descend, t_step
+from .kernel import descend
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 SIEVE_K_MAX = 26
@@ -147,13 +151,12 @@ def class_sieve(k: int) -> ClassSieve:
     finitely many smaller members are the exceptional set a verifier must
     sweep directly.
 
-    The sieve is built by lifting (Terras 1976; Everett 1977): the first j
-    parities of n depend only on n mod 2^j, and a survivor r mod 2^(j-1)
-    with a odd steps so far lifts to the classes r and r + 2^(j-1) mod 2^j
-    with T^(j-1)(r + 2^(j-1)) = T^(j-1)(r) + 3^a.  Each level therefore
-    takes one T-step per lift of a survivor instead of one per residue.
-    int64 cannot overflow for k <= 26: T^j(r) < 3^j <= 3^26 < 2^42, and
-    the offset B < 3^j < 2^42, so 3v + 1 and 3B + 2^j stay below 2^45.
+    The sieve is `kernel.lift` with only the survivors lifted further, so
+    each level takes one T-step per lift of a survivor instead of one per
+    residue.  The offset is read on the dropped rows alone, from
+    T^j(r) = (3^a r + B) / 2^j as B = 2^j T^j(r) - 3^a r.  int64 cannot
+    overflow there: a dropped row has 3^a < 2^j <= 2^26 and
+    0 <= B < 3^a 2^(j-a), so 2^j T^j(r) = 3^a r + B < 2 * 3^a 2^j < 2^53.
 
     The sieve keeps the state each survivor r has at level k: its image
     T^k(r) < 3^k and pow3 = 3^a(r) <= 3^k, both below 2^42.  Every member
@@ -162,31 +165,18 @@ def class_sieve(k: int) -> ClassSieve:
     """
     if not 1 <= k <= SIEVE_K_MAX:
         raise ValueError(f"sieve exponent must be in 1..{SIEVE_K_MAX}")
-    pow3 = 3 ** np.arange(k + 1, dtype=np.int64)
-    # the single class mod 2^0: residue, T^j(r), odd count a, offset B
-    r = np.zeros(1, dtype=np.int64)
-    v = np.zeros(1, dtype=np.int64)
-    a = np.zeros(1, dtype=np.int64)
-    B = np.zeros(1, dtype=np.int64)
-    counts = []
-    max_threshold = 0
-    for j in range(1, k + 1):
-        half = 1 << (j - 1)
-        r = np.concatenate((r, r + half))
-        v = np.concatenate((v, v + pow3[a]))
-        a = np.concatenate((a, a))
-        B = np.concatenate((B, B))
-        v, odd = t_step(v)
-        B[odd] = 3 * B[odd] + half
-        a += odd
-        gap = (1 << j) - pow3[a]
+    counts, thresholds = [], [0]
+
+    def keep(j, r, v, p):
+        gap = (1 << j) - p
         dropped = gap > 0
-        if dropped.any():
-            max_threshold = max(max_threshold, int((B[dropped] // gap[dropped]).max()))
-            alive = ~dropped
-            r, v, a, B = r[alive], v[alive], a[alive], B[alive]
-        counts.append(len(r) << (k - j))
-    return ClassSieve(k, r, counts, max_threshold, v, pow3[a])
+        B = (v[dropped] << j) - p[dropped] * r[dropped]
+        thresholds.append(int((B // gap[dropped]).max(initial=0)))
+        counts.append((len(r) - int(dropped.sum())) << (k - j))
+        return ~dropped
+
+    survivors, images, pow3, _ = kernel.lift(k, keep)
+    return ClassSieve(k, survivors, counts, max(thresholds), images, pow3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,29 @@ Writing x = sum 2^(d_0) + 2^(d_1) + ... with d_0 < d_1 < ..., the
 conjugacy inverse is phi(x) = -sum 3^-(j+1) * 2^(d_j).  Mod 2^n only the
 bits below n matter (higher terms carry a factor 2^(d_j) = 0 mod 2^n and
 3^-(j+1) is a 2-adic unit), so the truncation is well defined.
+
+Both tables over Z/2^n are lifted from 2^b to 2^(b+1) residues: the
+parity table is `kernel.lift`, and phi(x + 2^b) = phi(x) - 3^-(rank(x)+1) 2^b
+for x < 2^b with rank(x) one bits.  The cycles of phi are read by doubling,
+P_(j+1) = P_j o P_j from P_0 = phi: x has period 2^j at the first j with
+P_j(x) = x.  Every period is a power of 2 (Bernstein and Lagarias 1996);
+a residue with no such j <= n raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
-from .kernel import t_step, t_step_int
+from .kernel import lift, t_step, t_step_int
 
 N_MAX = 24
+
+
+def _check_n(n: int) -> None:
+    if not 4 <= n <= N_MAX:
+        raise ValueError(f"n must be in 4..{N_MAX}")
 
 
 def parity_prefix(x: int, n: int) -> str:
@@ -50,31 +61,20 @@ def phi_mod(x: int, n: int) -> int:
 
 
 def _phi_table(n: int) -> np.ndarray:
-    """phi on all of Z/2^n as an int64 array, vectorized over bit ranks."""
-    m = 1 << n
-    inv3 = pow(3, -1, m)
-    x = np.arange(m, dtype=np.int64)
-    mask = np.int64(m - 1)
-    acc = np.zeros(m, dtype=np.int64)
-    rank = np.zeros(m, dtype=np.int64)
-    inv_pows = np.array([pow(inv3, j + 1, m) for j in range(n + 1)], dtype=np.int64)
+    """phi on all of Z/2^n as an int64 array, lifted on bit rank."""
+    mask = (1 << n) - 1
+    inv_pows = np.array([pow(3, -(j + 1), 1 << n) for j in range(n)], dtype=np.int64)
+    phi = np.zeros(1, dtype=np.int64)
+    rank = np.zeros(1, dtype=np.uint8)
     for b in range(n):
-        bit = (x >> b) & 1
-        term = (inv_pows[rank] << b) & mask
-        acc = (acc + np.where(bit == 1, term, 0)) & mask
-        rank += bit
-    return (-acc) & mask
+        phi = np.concatenate((phi, (phi - (inv_pows[rank] << b)) & mask))
+        rank = np.concatenate((rank, rank + 1))
+    return phi
 
 
 def _parity_table(n: int) -> np.ndarray:
     """Packed parity prefixes of all residues mod 2^n (the inverse map)."""
-    m = 1 << n
-    v = np.arange(m, dtype=np.int64)
-    out = np.zeros(m, dtype=np.int64)
-    for i in range(n):
-        v, odd = t_step(v)
-        out |= odd << i
-    return out
+    return lift(n)[3]
 
 
 @dataclass
@@ -103,37 +103,24 @@ class PermutationReport:
 
 
 def perm_analysis(n: int) -> PermutationReport:
-    """Cycle structure of the conjugacy permutation of Z/2^n: exact
-    multiplicative order (lcm over cycle lengths) and fixed points."""
-    if not 4 <= n <= N_MAX:
-        raise ValueError(f"n must be in 4..{N_MAX}")
-    tab = _phi_table(n)
-    m = 1 << n
-    seen = np.zeros(m, dtype=bool)
-    order = 1
-    counts: dict[int, int] = {}
-    fixed: list[int] = []
-    tab_list = tab.tolist()
-    for s in range(m):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = tab_list[x]
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-        if length == 1:
-            fixed.append(s)
-        order = lcm(order, length)
-    return PermutationReport(
-        n=n,
-        order=order,
-        cycle_length_counts=counts,
-        fixed_points=fixed,
-        odd_fixed_points=[x for x in fixed if x % 2 == 1],
-    )
+    """Cycle structure of the conjugacy permutation of Z/2^n by doubling:
+    exact multiplicative order (the largest period) and fixed points."""
+    _check_n(n)
+    x = np.arange(1 << n, dtype=np.int32)
+    p = _phi_table(n).astype(np.int32)
+    e = np.zeros(1 << n, dtype=np.int8)  # x has period 2^e(x)
+    for _ in range(n + 1):
+        moved = p != x
+        if not moved.any():
+            break
+        e += moved
+        p = p[p]
+    else:
+        raise ArithmeticError(f"a residue mod 2^{n} has no period 2^j with j <= {n}")
+    exps, sizes = np.unique(e, return_counts=True)
+    counts = {1 << int(j): int(c) >> int(j) for j, c in zip(exps, sizes)}
+    fixed = np.flatnonzero(e == 0).tolist()
+    return PermutationReport(n, 1 << int(exps[-1]), counts, fixed, [x for x in fixed if x & 1])
 
 
 @dataclass
@@ -165,8 +152,7 @@ def conjugacy_check(n: int) -> ConjugacyReport:
     n - 1, and 3^-1 mod 2^n reduces to 3^-1 mod 2^(n-1).  So one table
     serves both sides.
     """
-    if not 4 <= n <= N_MAX:
-        raise ValueError(f"n must be in 4..{N_MAX}")
+    _check_n(n)
     m = 1 << n
     x = np.arange(m, dtype=np.int64)
     tab = _phi_table(n)
@@ -177,14 +163,13 @@ def conjugacy_check(n: int) -> ConjugacyReport:
 
 def inverse_consistency(n: int) -> bool:
     """The packed parity map inverts phi on Z/2^n."""
-    tab = _phi_table(n)
-    q = _parity_table(n)
-    x = np.arange(1 << n, dtype=np.int64)
-    return bool(np.array_equal(q[tab], x))
+    _check_n(n)
+    return bool(np.array_equal(_parity_table(n)[_phi_table(n)], np.arange(1 << n)))
 
 
 def odd_unit_restriction_is_permutation(n: int) -> bool:
     """phi restricted to odd residues permutes the odd residues."""
+    _check_n(n)
     tab = _phi_table(n)
     odds = np.arange(1, 1 << n, 2, dtype=np.int64)
     image = tab[odds]

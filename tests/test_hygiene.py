@@ -5,6 +5,10 @@ referenced somewhere in the package, its tests or its benchmark, and the
 package promises only what it ships."""
 
 import ast
+import gc
+import importlib
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,22 @@ def test_package_data_globs_match_shipped_files():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_docstring_names_every_module(path):
     assert f"({path.stem})" in collatzlab.__doc__
+
+
+def test_a_dropped_import_leaves_no_live_class():
+    # a fresh import of every module, as a benchmark set-up makes, is
+    # collected once its modules are dropped; typing caches Union[...]
+    # objects, so a module-level Union alias would keep its classes alive
+    package = [name for name in sys.modules if name.split(".")[0] == "collatzlab"]
+    saved = {name: sys.modules.pop(name) for name in package}
+    try:
+        fresh = [importlib.import_module(f"collatzlab.{p.stem}") for p in MODULES]
+        assert fresh[0] is not saved.get(fresh[0].__name__)
+        old_class = weakref.ref(importlib.import_module("collatzlab.maps").ResidueAffineMap)
+        del fresh
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "collatzlab"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert old_class() is None

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from collatzlab import coeffstop, kernel, stats
 from collatzlab.coeffstop import coeff_stop_record, verify_coefficient_conjecture
-from collatzlab.kernel import GUARD, descend, t_step_int
+from collatzlab.kernel import GUARD, descend, lift, t_step, t_step_int
 from collatzlab.maps import t_map, trajectory
 from collatzlab.stats import (
     _power_ceiling,
@@ -106,6 +106,65 @@ bare_starts = st.one_of(
 )
 thresholds = st.sampled_from(["start", "jump", 1, 2, Fraction(1, 2), Fraction(4, 5),
                              Fraction(1, 20)])
+
+
+def jump_table_by_steps(k):
+    """The former `_jump_table`: (3^c(r), T^k(r)) for r < 2^k by k T-steps
+    of every residue, c(r) the odd steps among them."""
+    v = np.arange(1 << k, dtype=np.int64)
+    c = np.zeros(1 << k, dtype=np.int64)
+    for _ in range(k):
+        v, odd = t_step(v)
+        c += odd
+    return 3**c, v
+
+
+def test_jump_table_matches_the_former_code():
+    mul, add = jump_table_by_steps(K)
+    assert np.array_equal(kernel._JUMP_MUL, mul) and np.array_equal(kernel._JUMP_ADD, add)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_lift_matches_scalar_steps(k):
+    r, v, p, w = lift(k)
+    assert r.tolist() == list(range(1 << k))
+    for x in range(1 << k):
+        y, a, word = x, 0, 0
+        for i in range(k):
+            a += y & 1
+            word |= (y & 1) << i
+            y = t_step_int(y)
+        assert (int(v[x]), int(p[x]), int(w[x])) == (y, 3**a, word)
+
+
+def _dropped(j, r):
+    """An arbitrary filter that mixes the level and the class."""
+    return (7 * r + j) % 5 == 0
+
+
+def _kept(j):
+    return [x for x in range(1 << j) if not any(_dropped(i, x % (1 << i)) for i in range(1, j + 1))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 10])
+def test_lift_keep_drops_exactly_the_masked_classes(k):
+    seen = []
+
+    def keep(j, r, v, p):
+        seen.append((j, r.tolist(), v.tolist(), p.tolist()))
+        return ~_dropped(j, r)
+
+    kept = lift(k, keep)
+    assert kept[0].tolist() == _kept(k)
+    for got, col in zip(kept, lift(k)):
+        assert np.array_equal(got, col[_kept(k)])
+    # level j sees both lifts of every class kept at level j - 1, with its T^j and 3^a
+    assert [j for j, *_ in seen] == list(range(1, k + 1))
+    for j, r, v, p in seen:
+        below = _kept(j - 1)
+        assert r == sorted(below + [x + (1 << (j - 1)) for x in below])
+        full = lift(j)
+        assert (v, p) == (full[1][r].tolist(), full[2][r].tolist())
 
 
 def test_jump_table():
