@@ -87,13 +87,15 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
     T^j(r + 2^j) = T^j(r) + 3^a(r): each level takes one T-step per class.
     keep(j, r, v, p), if given, sees the classes mod 2^j with v = T^j(r) and
     p = 3^a(r) at each level j = 1..k and returns the mask of those to lift.
+    Without keep every class is lifted, so r is built once, as arange(2^k).
 
     int64 is exact for k <= 38: T(x) + 1 <= 3(x + 1)/2, so r < 2^(j+1) has
     T^j(r) + 1 <= 2 * 3^j, and the next step's 3 T^j(r) + 1 < 6 * 3^j < 2^63.
     """
     r, v, p, w = (np.array([x], dtype=np.int64) for x in (0, 0, 1, 0))
     for j in range(k):
-        r = np.concatenate((r, r + (1 << j)))
+        if keep is not None:
+            r = np.concatenate((r, r + (1 << j)))
         v = np.concatenate((v, v + p))
         p = np.concatenate((p, p))
         w = np.concatenate((w, w))
@@ -103,6 +105,8 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
         if keep is not None:
             alive = keep(j + 1, r, v, p)
             r, v, p, w = r[alive], v[alive], p[alive], w[alive]
+    if keep is None:
+        r = np.arange(1 << k, dtype=np.int64)
     return r, v, p, w
 
 

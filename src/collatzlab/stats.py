@@ -12,6 +12,15 @@ number is the result of exact arithmetic.  The per-integer records
 sweep_csv_rows through it) read one `maps._walk` path each, under the
 walker's step and magnitude limits.
 
+excursion_records keeps no table of t.  An n >= 3 is an excursion
+champion exactly when its path record p(n), the largest iterate before n
+first drops below itself, exceeds every t(m) with m < n (Oliveira e Silva
+1999), and the least n with t(n) > 8 n^2, if any, has p(n) > 8 n^2.  On a
+block lo..hi with (3/2)^16 (hi + 1) at most that running record and at
+most 8 lo^2, no member of a class the sieve mod 2^16 eliminates can beat
+either, so only the survivors are stepped.  The proofs are in its
+docstring.
+
 At n = 1 the two readers count differently: height_and_total_stop counts
 the steps to first reach 1, so it gives (0, 0), while stats_record(1) walks
 the {1, 2} cycle back to 1 (sigma_inf 2, height 3).
@@ -32,6 +41,7 @@ from .kernel import descend
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 SIEVE_K_MAX = 26
+_EXCURSION_K = 16  # the sieve exponent of excursion_records
 
 #: footer note for verification reports: how far the conjecture has been
 #: machine-checked in the published record (desk sweeps substitute for it)
@@ -208,13 +218,16 @@ class VerificationReport:
         }
 
 
-def _verify_chunk(args) -> tuple[int, list[int]]:
-    """The n in lo..hi whose residue mod 2^k survives the sieve: their
-    count, and those with no iterate below n within step_limit steps.
+def _survivor_descent(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
+                      peak: bool = False) -> tuple[np.ndarray, kernel.Descent]:
+    """The n in lo..hi whose residue mod 2^k survives the sieve, ascending,
+    and their `Descent` below n: the unresolved indices into n and, with
+    peak, the largest T^j(n) over k < j <= steps.
 
-    n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r);
-    an n whose T^k(n) could pass the kernel's GUARD is started at step 0."""
-    lo, hi, sieve, step_limit = args
+    n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r),
+    with step_limit - k steps left; an n whose T^k(n) could pass the
+    kernel's GUARD is started at step 0, so its peak runs over 1 <= j <=
+    steps.  Every n is unresolved when step_limit < k."""
     k = sieve.k
     q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
     qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
@@ -222,14 +235,30 @@ def _verify_chunk(args) -> tuple[int, list[int]]:
     first, end = np.searchsorted(n, [lo, hi + 1]).tolist()
     n = n[first:end]
     if step_limit < k:  # no survivor drops within its first k steps
-        return len(n), n.tolist()
+        return n, kernel.Descent(np.arange(len(n)))
     x = (np.minimum(q, qmax) * sieve.pow3 + sieve.images).ravel()[first:end]
     big = (q > qmax).ravel()[first:end]
-    fails = []
-    if big.any():
-        fails = n[big][descend(n[big], step_limit).unresolved].tolist()
-        n, x = n[~big], x[~big]
-    return end - first, fails + n[descend(x, step_limit - k, n).unresolved].tolist()
+    if not big.any():
+        return n, descend(x, step_limit - k, n, peak=peak)
+    unresolved, peaks = [], np.zeros(len(n), dtype=np.int64) if peak else None
+    for idx, starts, limit in ((np.flatnonzero(~big), x, step_limit - k),
+                               (np.flatnonzero(big), n, step_limit)):
+        d = descend(starts[idx], limit, n[idx], peak=peak)
+        unresolved.append(idx[d.unresolved])
+        if peak:
+            if d.peak.dtype == object:  # a peak past int64, from the exact path
+                peaks = peaks.astype(object)
+            peaks[idx] = d.peak
+    return n, kernel.Descent(np.sort(np.concatenate(unresolved)), peak=peaks)
+
+
+def _verify_chunk(args) -> tuple[int, list[int]]:
+    """The n in lo..hi whose residue mod 2^k survives the sieve: their
+    count, and those with no iterate below n within step_limit steps,
+    started as `_survivor_descent` starts them."""
+    lo, hi, sieve, step_limit = args
+    n, d = _survivor_descent(lo, hi, sieve, step_limit)
+    return len(n), n[d.unresolved].tolist()
 
 
 def verify_range(
@@ -430,7 +459,11 @@ def equal_height_tuples(
 class ExcursionReport:
     n_max: int
     champions: list[tuple[int, int]]          # strictly increasing t(n) records
-    bound_violations: list[tuple[int, int]]   # (n, t(n)) with t(n) > 8 n^2
+    # (n, p(n)) for the n with p(n) > 8 n^2, p(n) the largest iterate before
+    # n first drops below itself; each has t(n) > 8 n^2.  Empty exactly when
+    # t(n) <= 8 n^2 on the whole range; otherwise the first entry is the
+    # least n where the bound fails, and there p(n) = t(n)
+    bound_violations: list[tuple[int, int]]
 
     def to_dict(self) -> dict:
         return {
@@ -443,40 +476,65 @@ class ExcursionReport:
 
 def excursion_records(n_max: int) -> ExcursionReport:
     """Champions of the maximum excursion t(n) for 2 <= n <= n_max, and a
-    check of the empirical bound t(n) <= 8 n^2 over the range.
+    check of the empirical bound t(n) <= 8 n^2 over the range, with no
+    table of t.
 
-    Works by dynamic programming over a full table: each n iterates only
-    until it drops below itself, then reuses the already-computed record.
+    Path records (Oliveira e Silva 1999).  For n >= 3 let s be the first
+    step with T^s(n) < n, and p(n) the largest T^i(n), 1 <= i <= s.  After
+    step s the orbit of n is that of its drop d = T^s(n), so t(n) =
+    max(p(n), t(d)), where t(1) = t(2) = 2 and t(d) <= best, the largest
+    t(m) over m < n.  So n is a champion, t(n) > best, exactly when p(n) >
+    best, and then t(n) = p(n).  Likewise, if t(n) > 8 n^2 but p(n) <=
+    8 n^2, then t(d) = t(n) > 8 d^2; so the least n with t(n) > 8 n^2 has
+    p(n) > 8 n^2, and there t(n) = p(n).  bound_violations lists the n with
+    p(n) > 8 n^2, each a violation, so it is empty exactly when the bound
+    holds on the range.
+
+    Pruning.  T(x) + 1 <= 3(x + 1)/2, so T^i(n) < (3/2)^i (n + 1).  Above
+    the max_threshold of the sieve mod 2^k, a member n of a class
+    eliminated at step j <= k drops by step j (within the step limit when
+    it is at least k), so p(n) < (3/2)^k (n + 1);
+    and the first k iterates of a member of a surviving class are below
+    the same bound.  On a block lo..hi with 3^k (hi + 1) <= 2^k min(best,
+    8 lo^2), neither can make n a champion or a violation.  So there only
+    the survivors are stepped, started at step k as `verify_range` starts
+    them, and their peak after step k stands for p(n).  Other blocks, the
+    first among them, are stepped in full.
+
     A bound violation is reported as data, not raised; an n that does not
-    drop below itself within DEFAULT_STEP_LIMIT steps raises RuntimeError.
+    drop below itself within DEFAULT_STEP_LIMIT steps raises RuntimeError
+    naming it.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if n_max > 2 * 10**8:
-        raise ValueError("table-based excursion sweep capped at 2e8")
-    t = np.zeros(n_max + 1, dtype=np.int64)
-    t[1] = 2
-    violations = []
-    champs = []
-    best = 0
-    block = 1 << 19
-    for base in range(2, n_max + 1, block):
-        hi = min(base + block - 1, n_max)
-        n = np.arange(base, hi + 1, dtype=np.int64)
-        d = descend(n, DEFAULT_STEP_LIMIT, peak=True)
+    if n_max > 2 * 10**8:  # keeps 8 n^2 below 2^63
+        raise ValueError("excursion sweep capped at 2e8")
+    sieve = class_sieve(_EXCURSION_K)
+    k = sieve.k
+    champs, violations = [(2, 2)], []
+    best = 2
+    lo = 3
+    while lo <= n_max:
+        # a pruned block is the largest, up to 2^20 numbers, with 3^k (hi + 1)
+        # <= 2^k min(best, 8 lo^2); a block stepped in full holds 2^14
+        hi = min(n_max, lo + (1 << 20) - 1, (min(best, 8 * lo * lo) << k) // 3**k - 1)
+        if lo > sieve.max_threshold and DEFAULT_STEP_LIMIT >= k and hi >= lo:
+            n, d = _survivor_descent(lo, hi, sieve, DEFAULT_STEP_LIMIT, peak=True)
+        else:
+            hi = min(n_max, lo + (1 << 14) - 1)
+            n = np.arange(lo, hi + 1, dtype=np.int64)
+            d = descend(n, DEFAULT_STEP_LIMIT, peak=True)
         if len(d.unresolved):
             raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
                                f"below itself within {DEFAULT_STEP_LIMIT} steps")
-        if d.peak.dtype == object:  # a peak past int64, from the exact path
-            t = t.astype(object)
-        # every drop is below base, so the block's entries are final here and
-        # the bound check and champion scan need no full-length temporaries
-        tb = t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
-        violations.extend((int(i + base), int(tb[i])) for i in np.nonzero(tb > 8 * n * n)[0])
-        for i in np.nonzero(tb == np.maximum.accumulate(tb))[0]:
-            if tb[i] > best:
-                best = int(tb[i])
-                champs.append((int(i + base), best))
+        p = d.peak
+        over = np.flatnonzero(p > 8 * n * n)
+        violations += [(int(n[i]), int(p[i])) for i in over]
+        for i in np.flatnonzero(p == np.maximum.accumulate(p)):
+            if p[i] > best:
+                best = int(p[i])
+                champs.append((int(n[i]), best))
+        lo = hi + 1
     return ExcursionReport(n_max, champs, violations)
 
 

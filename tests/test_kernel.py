@@ -49,6 +49,24 @@ def test_forced_exact_continuation_matches(monkeypatch, guard):
     assert len(calls) > 10**4
 
 
+@pytest.mark.parametrize("guard, restarts", [(10**7, {True, False}), (50, {True})])
+def test_forced_exact_survivor_excursions_match(monkeypatch, guard, restarts):
+    # above 2^14 excursion_records steps only the survivors mod 2^16, from
+    # T^16(n) with threshold n, or from n itself where T^16(n) could pass
+    # the guard (every survivor, at guard 50); with the guard lowered these
+    # starts reach the exact path, and the report does not change
+    n_max, k = 2 * 10**5, 16
+    want = excursion_records(n_max).to_dict()
+    calls = []
+    exact = kernel._descend_exact
+    monkeypatch.setattr(kernel, "GUARD", guard)
+    monkeypatch.setattr(kernel, "_descend_exact", lambda *a: calls.append(a) or exact(*a))
+    assert excursion_records(n_max).to_dict() == want
+    survivors = set(class_sieve(k).survivors.tolist())
+    assert {x == thr for x, thr, _ in calls
+            if thr > 2**14 and thr % 2**k in survivors} == restarts
+
+
 starts = st.one_of(
     st.integers(2, 10**6),
     st.integers(GUARD - 2**20, GUARD + 2**20),

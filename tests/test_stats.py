@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -413,20 +414,115 @@ def test_excursion_champions_across_blocks():
 
 
 def test_excursion_bound_violation_is_reported(monkeypatch):
-    # no n below 1e7 breaks t(n) <= 8 n^2, so plant a peak that does, in the
-    # second 2^19-entry block
-    n0 = 600_001
+    # no n below 1e7 breaks t(n) <= 8 n^2, so plant a peak that does, at a
+    # member of a surviving class mod 2^16 in the second 2^19 numbers, which
+    # the sweep steps from T^16(n) with threshold n
+    n0 = 600_059
+    assert n0 % 2**16 in set(class_sieve(16).survivors.tolist())
     real = stats.descend
 
-    def planted(n, *args, **kwargs):
-        d = real(n, *args, **kwargs)
-        d.peak[n == n0] = 8 * n0 * n0 + 1
+    def planted(n, step_limit, threshold=None, **kwargs):
+        d = real(n, step_limit, threshold, **kwargs)
+        d.peak[(n if threshold is None else threshold) == n0] = 8 * n0 * n0 + 1
         return d
 
     monkeypatch.setattr(stats, "descend", planted)
     rep = excursion_records(700_000)
     assert rep.bound_violations == [(n0, 8 * n0 * n0 + 1)]
     assert rep.champions[-1] == (n0, 8 * n0 * n0 + 1)
+
+
+def test_excursion_step_limit_error_names_the_start(monkeypatch):
+    # 270271 is the least n with stopping time above 150 (164), a member of
+    # a surviving class mod 2^16 that the sweep starts from its image
+    # T^16(n); the error names n, not the image
+    n0, k = 270_271, 16
+    assert n0 % 2**k in set(class_sieve(k).survivors.tolist())
+    assert naive_sigma(n0) == 164
+    image = n0
+    for _ in range(k):
+        image = t_step_int(image)
+    monkeypatch.setattr(stats, "DEFAULT_STEP_LIMIT", 150)
+    with pytest.raises(RuntimeError, match=f"n={n0} ") as err:
+        excursion_records(3 * 10**5)
+    assert str(image) not in str(err.value)
+
+
+def excursion_records_by_table(n_max):
+    """The former `excursion_records`: t(n) = max(peak, t(drop)) over a
+    full table, in blocks of 2^19.  A block reads t(drop) before writing
+    its own entries, so an entry whose drop lies in the same block is its
+    peak alone (t(6) reads 3, not 8); the champions, whose t(n) is the
+    peak, are still right."""
+    t = np.zeros(n_max + 1, dtype=np.int64)
+    t[1] = 2
+    violations = []
+    champs = []
+    best = 0
+    block = 1 << 19
+    for base in range(2, n_max + 1, block):
+        hi = min(base + block - 1, n_max)
+        n = np.arange(base, hi + 1, dtype=np.int64)
+        d = stats.descend(n, stats.DEFAULT_STEP_LIMIT, peak=True)
+        if len(d.unresolved):
+            raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
+                               f"below itself within {stats.DEFAULT_STEP_LIMIT} steps")
+        if d.peak.dtype == object:
+            t = t.astype(object)
+        tb = t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
+        violations.extend((int(i + base), int(tb[i])) for i in np.nonzero(tb > 8 * n * n)[0])
+        for i in np.nonzero(tb == np.maximum.accumulate(tb))[0]:
+            if tb[i] > best:
+                best = int(tb[i])
+                champs.append((int(i + base), best))
+    return stats.ExcursionReport(n_max, champs, violations)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 100, 2**16 - 1, 2**16 + 1, 2**19 + 1, 2**19 + 3,
+                                   2 * 10**5, 10**6]
+                         + np.random.default_rng(8128).integers(2, 3 * 10**5, 6).tolist())
+def test_excursion_matches_table(n_max):
+    assert excursion_records(n_max).to_dict() == excursion_records_by_table(n_max).to_dict()
+
+
+def test_excursion_champions_against_memoised_excursions(monkeypatch):
+    # t(n) = max(T(n), t(T(n))), t(1) = 2, memoised over every value met;
+    # above 2^14 the sweep steps only sieve survivors
+    n_max = 5 * 10**4
+    t = {1: 2}
+    for n in range(2, n_max + 1):
+        path, x = [], n
+        while x not in t:
+            path.append(x)
+            x = (3 * x + 1) // 2 if x & 1 else x // 2
+        for y in reversed(path):
+            t[y] = max(x, t[x])
+            x = y
+    champs, best = [], 0
+    for n in range(2, n_max + 1):
+        if t[n] > best:
+            best = t[n]
+            champs.append((n, best))
+    pruned = []
+    real = stats._survivor_descent
+    monkeypatch.setattr(stats, "_survivor_descent", lambda *a, **kw: pruned.append(a) or real(*a, **kw))
+    rep = excursion_records(n_max)
+    assert pruned
+    assert rep.champions == champs
+    assert not rep.bound_violations and all(t[n] <= 8 * n * n for n in range(2, n_max + 1))
+
+
+def test_excursion_sweep_keeps_no_range_long_array():
+    # the traced peak grows far slower than the range, and stays below one
+    # int64 array of n_max entries: no n_max-long table
+    peaks = []
+    for n_max in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        excursion_records(n_max)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+    assert peaks[1] < 8 * 4 * 10**6
 
 
 def test_csv_rows_shape():
