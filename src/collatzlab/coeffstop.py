@@ -85,8 +85,6 @@ def coeff_stop_record(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> CoeffStop
 class DangerousPair:
     odd_steps: int            # a
     k: int                    # = ceil(a * log2 3)
-    gap: str                  # 2^k - 3^a as a string (may be huge)
-    max_offset_numerator: str
     counterexample_bound: int
     inequality_chain: str
 
@@ -193,8 +191,6 @@ def verify_coefficient_conjecture(
         DangerousPair(
             odd_steps=a,
             k=k,
-            gap=str(den),
-            max_offset_numerator=str(B),
             counterexample_bound=nb,
             inequality_chain=(
                 f"n*(2^{k} - 3^{a}) <= B_max = {B} with 2^{k} - 3^{a} = {den}, "

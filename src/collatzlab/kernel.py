@@ -7,8 +7,8 @@ Every sweep is a descent: iterate T on a batch of starts until each first
 falls below a threshold (the start itself for the stopping time; Terras
 1976).  `descend` runs it on int64 arrays, by K-step jumps where only the
 verdict is asked for; a start above GUARD, or one whose orbit crosses it,
-is run in exact Python ints instead, so every number it returns is exact
-and no caller sees an overflow.
+is run again from the start by the same single-step loop on Python ints,
+so every number it returns is exact and no caller sees an overflow.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ def t_step_int(x: int) -> int:
 
 def t_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One T-step of every element of an int64 array whose elements are at
-    most GUARD; returns the new iterates and the odd mask of the old ones."""
+    most GUARD, or of an object array of Python ints; returns the new
+    iterates and the odd mask of the old ones."""
     odd = (v & 1).astype(bool)
     return np.where(odd, 3 * v + 1, v) >> 1, odd
 
@@ -36,7 +37,9 @@ def t_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class Descent:
     """Per-start results of `descend`, indexed like its starts.  An output
-    the call did not ask for is None; an unresolved start reads 0."""
+    the call did not ask for is None; an unresolved start reads 0.  Every
+    column is int64, except that peak is an object array of Python ints
+    when some peak passes int64, as only an orbit past GUARD can."""
 
     unresolved: np.ndarray              # indices still at or above threshold at step_limit
     steps: Optional[np.ndarray] = None  # first step with T^steps(n) below the threshold
@@ -147,23 +150,25 @@ def _descend_steps(
 ) -> Descent:
     """`descend` by single steps: the live set is compacted as starts
     retire, and a bare call costs a step, a compare, a compaction and a
-    guard test per step."""
-    size = len(starts)
+    guard test per step.  A start whose orbit passes GUARD leaves the int64
+    run; those starts are run again from the start, in one batch, by this
+    same loop on object arrays of Python ints, which has no guard."""
+    size, exact = len(starts), starts.dtype == object
+    dtype = object if exact else np.int64
     names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
-    out = {name: np.zeros(size, dtype=np.int64) for name in names}
+    out = {name: np.zeros(size, dtype=dtype) for name in names}
     live = {"idx": np.arange(size), "v": starts, "thr": threshold}
     if peak:
-        live["peak"] = np.zeros(size, dtype=np.int64)
+        live["peak"] = np.zeros(size, dtype=dtype)
     if kappa:
         live["a"] = np.zeros(size, dtype=np.int64)
         live["kappa"] = np.zeros(size, dtype=np.int64)
         amax, p3 = -1, 1  # largest a with 3^a < 2^step, and 3^(amax + 1)
-    exact: list[tuple[int, int]] = []  # (index, threshold) of orbits that went past GUARD
+    past = []  # indices of orbits that went past GUARD
     step = 0
     while len(live["idx"]):
-        big = live["v"] > GUARD
-        if big.any():
-            exact += zip(live["idx"][big].tolist(), live["thr"][big].tolist())
+        if not exact and (big := live["v"] > GUARD).any():
+            past.append(live["idx"][big])
             live = {k: s[~big] for k, s in live.items()}
         if step == step_limit:
             break
@@ -186,32 +191,14 @@ def _descend_steps(
         keep = np.flatnonzero(stays)  # one index for every compaction
         live = {k: s[keep] for k, s in live.items()}
 
-    unresolved = live["idx"].tolist()
-    for i, thr in exact:
-        res = _descend_exact(int(starts[i]), thr, step_limit)
-        if res is None:
-            unresolved.append(i)
-        for name, value in zip(("steps", "drop", "peak", "kappa"), res or ()):
-            if name in out:
-                if value > np.iinfo(np.int64).max and out[name].dtype != object:
-                    out[name] = out[name].astype(object)  # only a peak gets here
-                out[name][i] = value
-    return Descent(np.array(sorted(unresolved), dtype=np.int64), **out)
-
-
-def _descend_exact(n: int, thr: int, step_limit: int) -> Optional[tuple[int, int, int, int]]:
-    """The scalar path of `descend`: the orbit of n in Python ints.  Returns
-    (steps, drop, peak, kappa) as `descend` defines them, or None if
-    step_limit comes first."""
-    x, step, peak, kappa, p3 = n, 0, 0, 0, 1
-    while x >= thr:
-        if step == step_limit:
-            return None
-        if x & 1 and not kappa:
-            p3 *= 3
-        x = t_step_int(x)
-        step += 1
-        peak = max(peak, x)
-        if not kappa and p3.bit_length() <= step:
-            kappa = step
-    return step, x, peak, kappa
+    unresolved = live["idx"]
+    if past:
+        idx = np.concatenate(past)
+        rerun = _descend_steps(starts[idx].astype(object), step_limit, threshold[idx], peak, kappa)
+        unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])))
+        for name in out:
+            col = getattr(rerun, name)
+            if col.max() > np.iinfo(np.int64).max:  # only a peak gets here
+                out[name] = out[name].astype(object)
+            out[name][idx] = col
+    return Descent(unresolved, **out)

@@ -305,25 +305,15 @@ def _parse_expr(text: str, offset: int) -> tuple[Fraction, Fraction]:
     m = _BRANCH_RE.match(text)
     if not m:
         raise MapSyntaxError(f"cannot parse branch expression {text.strip()!r}", offset)
-    if m.group("pden") is not None:
-        coef = Fraction(m.group("pcoef") or 1)
-        const = Fraction(0)
-        if m.group("pconst"):
-            const = Fraction(m.group("pconst"))
-            if m.group("psign") == "-":
-                const = -const
-        den = int(m.group("pden"))
-    else:
-        coef = Fraction(m.group("coef") or 1)
-        const = Fraction(0)
-        if m.group("const"):
-            const = Fraction(m.group("const"))
-            if m.group("sign") == "-":
-                const = -const
-        den = int(m.group("den") or 1)
-    if den == 0:
-        raise MapSyntaxError("zero denominator", offset)
-    return coef / den, const / den
+    g = m.groupdict()
+    p = "p" if g["pden"] else ""  # the parenthesised form names its groups p*
+    try:
+        coef = Fraction(g[p + "coef"] or 1)
+        const = Fraction(g[p + "const"] or 0) * (-1 if g[p + "sign"] == "-" else 1)
+        den = int(g[p + "den"] or 1)
+        return coef / den, const / den
+    except ZeroDivisionError:  # in den, or in a coefficient or constant such as 1/0
+        raise MapSyntaxError("zero denominator", offset) from None
 
 
 def _parse_dsl(text: str) -> ResidueAffineMap:

@@ -35,16 +35,29 @@ def _reports():
     ]
 
 
+def record_exact_starts(monkeypatch):
+    """Wrap `kernel._descend_steps` and return the list it fills with the
+    (start, threshold) pairs of its exact runs, those on object arrays."""
+    calls = []
+    steps = kernel._descend_steps
+
+    def wrapped(starts, step_limit, threshold, *flags):
+        if starts.dtype == object:
+            calls.extend(zip(starts.tolist(), threshold.tolist()))
+        return steps(starts, step_limit, threshold, *flags)
+
+    monkeypatch.setattr(kernel, "_descend_steps", wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("guard", [10**4, 50])
 def test_forced_exact_continuation_matches(monkeypatch, guard):
     # with the guard lowered, starts above it and orbits that cross it go
     # to the exact path; at 50 that is nearly every orbit of every sweep,
     # the coefficient sweep's starts (<= 281) included
     want = _reports()
-    calls = []
-    exact = kernel._descend_exact
     monkeypatch.setattr(kernel, "GUARD", guard)
-    monkeypatch.setattr(kernel, "_descend_exact", lambda *a: calls.append(a) or exact(*a))
+    calls = record_exact_starts(monkeypatch)
     assert _reports() == want
     assert len(calls) > 10**4
 
@@ -57,13 +70,11 @@ def test_forced_exact_survivor_excursions_match(monkeypatch, guard, restarts):
     # starts reach the exact path, and the report does not change
     n_max, k = 2 * 10**5, 16
     want = excursion_records(n_max).to_dict()
-    calls = []
-    exact = kernel._descend_exact
     monkeypatch.setattr(kernel, "GUARD", guard)
-    monkeypatch.setattr(kernel, "_descend_exact", lambda *a: calls.append(a) or exact(*a))
+    calls = record_exact_starts(monkeypatch)
     assert excursion_records(n_max).to_dict() == want
     survivors = set(class_sieve(k).survivors.tolist())
-    assert {x == thr for x, thr, _ in calls
+    assert {x == thr for x, thr in calls
             if thr > 2**14 and thr % 2**k in survivors} == restarts
 
 
@@ -83,15 +94,41 @@ def test_descend_matches_scalar_records(ns, step_limit):
     assert unresolved == {i for i, n in enumerate(ns)
                           if stats_record(n).stopping_time > step_limit}
     for i, n in enumerate(ns):
-        if i in unresolved:
-            continue
-        sigma = stats_record(n).stopping_time
-        x, peak = n, 0
-        for _ in range(sigma):
-            x = t_step_int(x)
-            peak = max(peak, x)
-        assert (d.steps[i], d.drop[i], d.peak[i]) == (sigma, x, peak)
-        assert d.kappa[i] == coeff_stop_record(n).k
+        if i not in unresolved:
+            assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
+
+
+def scalar_descent(n):
+    """(steps, drop, peak, kappa) of `descend` for n, from the scalar
+    records and T-steps in Python ints."""
+    sigma = stats_record(n).stopping_time
+    x, peak = n, 0
+    for _ in range(sigma):
+        x = t_step_int(x)
+        peak = max(peak, x)
+    return sigma, x, peak, coeff_stop_record(n).k
+
+
+def test_peak_is_object_only_past_int64():
+    # GUARD + 1 goes to the exact path, but its peak fits int64; the peak
+    # of 2^63 - 1 does not, and only then is the peak column of Python ints
+    for ns, dtype in (([27, GUARD + 1], np.int64), ([27, GUARD + 1, 2**63 - 1], object)):
+        d = descend(np.array(ns, dtype=np.int64), 10**4, peak=True, kappa=True)
+        assert d.peak.dtype == dtype
+        assert d.steps.dtype == d.drop.dtype == d.kappa.dtype == np.int64
+        assert len(d.unresolved) == 0
+        for i, n in enumerate(ns):
+            assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
+    assert d.peak[2] > np.iinfo(np.int64).max
+
+
+def test_start_below_threshold_steps_alike_past_guard():
+    # T^j(n) is compared for j >= 1 only, on both sides of GUARD
+    s = np.array([100, GUARD + 1], dtype=np.int64)
+    d = descend(s, 50, s + 10, peak=True, kappa=True)
+    assert d.steps.tolist() == d.kappa.tolist() == [1, 1]
+    assert d.drop.tolist() == d.peak.tolist() == [50, (GUARD + 1) // 2]
+    assert descend(s, 0, s + 10, peak=True).unresolved.tolist() == [0, 1]
 
 
 def test_step_limit_policies(monkeypatch):

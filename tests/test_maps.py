@@ -129,6 +129,14 @@ def test_parse_syntax_error_position():
         parse_map("d=2; 0: x/2; 1: 3y+1")
 
 
+@pytest.mark.parametrize("branch", ["3x+1/0", "3/0x+1", "(3x+1/0)/2", "1/0x", "x/0", "(x+1)/0"])
+def test_parse_zero_denominator_is_a_syntax_error(branch):
+    # a zero in the outer denominator, a coefficient or a constant
+    with pytest.raises(MapSyntaxError, match="zero denominator") as err:
+        parse_map(f"d=2; 0: x/2; 1: {branch}")
+    assert err.value.position == len("d=2; 0: x/2; 1:")
+
+
 def test_parse_variants():
     m = parse_map("d=3; 0: 2/3*x; 1: (4x-1)/3; 2: (4x+1)/3")
     perm = collatz_permutation()
