@@ -9,6 +9,10 @@ falls below a threshold (the start itself for the stopping time; Terras
 verdict is asked for; a start above GUARD, or one whose orbit crosses it,
 is run again from the start by the same single-step loop on Python ints,
 so every number it returns is exact and no caller sees an overflow.
+The jumps are taken chunk, then pool: the first few on one cache-sized
+chunk of starts at a time, the rest on the pooled survivors of every
+chunk, so a bare descent holds one chunk, the pool and one bool per start,
+whatever the batch size.
 """
 
 from __future__ import annotations
@@ -73,6 +77,13 @@ def descend(
     GUARD + 3^K < 2^63.  A start with threshold <= 2 takes single steps
     from the outset: its orbit may end in the cycle 1, 2, which every even
     K jumps from 2 to 2, never below 2.
+
+    The first _HEAD_JUMPS jumps (32 steps) run on one chunk of _CHUNK = 2^16
+    starts at a time, and the survivors of every chunk (about 2% of a naive
+    range, 13% of sieve survivors) are pooled for the rest.  A verdict
+    depends on its own orbit alone, and every pooled start has taken the
+    same jumps, so the split changes no output.  The working set is one
+    chunk, the pool and one bool per start, whatever the batch size.
     """
     if threshold is None:
         threshold = starts
@@ -115,15 +126,38 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
 
 _K = 8
 _, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
+_CHUNK = 1 << 16  # starts per head chunk, whose columns stay in cache
+_HEAD_JUMPS = 4  # jumps per chunk before the survivors are pooled
 
 
 def _descend_jumps(starts: np.ndarray, step_limit: int, thr: np.ndarray) -> np.ndarray:
-    """The unresolved indices of a bare `descend`, by K-step jumps."""
-    limit = (GUARD // 3**_K) << _K  # a jump from v <= limit stays <= GUARD + 3^K
+    """The unresolved indices of a bare `descend`, by K-step jumps: the
+    first _HEAD_JUMPS on one chunk of _CHUNK starts at a time, the rest on
+    the pooled survivors of every chunk."""
     single = thr <= 2
-    idx = np.flatnonzero(~single)
-    v, t = starts[idx], thr[idx]
-    for _ in range(step_limit // _K):
+    jumps = step_limit // _K
+    head = min(jumps, _HEAD_JUMPS)
+    pool = []
+    for lo in range(0, len(starts), _CHUNK):
+        idx = lo + np.flatnonzero(~single[lo:lo + _CHUNK])
+        pool.append(_jump(idx, starts[idx], thr[idx], head, single))
+    if pool:
+        idx, v, t = (np.concatenate(col) for col in zip(*pool))
+        live = _jump(idx, v, t, jumps - head, single)[0]
+        single[live] = True  # a jump may have passed over the drop of a start still live
+    rerun = np.flatnonzero(single)
+    return rerun[_descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+
+
+def _jump(
+    idx: np.ndarray, v: np.ndarray, t: np.ndarray, jumps: int, single: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Take up to `jumps` K-step jumps of the starts idx, at iterates v
+    (a copy, stepped in place) with thresholds t, and return the columns of
+    those still live.  A start whose iterate passes the jump guard is
+    marked in `single` and dropped."""
+    limit = (GUARD // 3**_K) << _K  # a jump from v <= limit stays <= GUARD + 3^K
+    for _ in range(jumps):
         if not len(idx):
             break
         over = v > limit
@@ -131,14 +165,12 @@ def _descend_jumps(starts: np.ndarray, step_limit: int, thr: np.ndarray) -> np.n
             single[idx[over]] = True
             idx, v, t = idx[~over], v[~over], t[~over]
         low = v & ((1 << _K) - 1)
-        v >>= _K  # in place: v is always a copy made by indexing
+        v >>= _K
         v *= _JUMP_MUL[low]
         v += _JUMP_ADD[low]
         stays = np.flatnonzero(v >= t)  # one index for the three compactions
         idx, v, t = idx[stays], v[stays], t[stays]
-    single[idx] = True  # a jump may have passed over the drop of a start still live
-    rerun = np.flatnonzero(single)
-    return rerun[_descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+    return idx, v, t
 
 
 def _descend_steps(

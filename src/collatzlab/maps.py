@@ -88,7 +88,7 @@ class ResidueAffineMap:
         return self.domain is None or (self.domain[0] <= x <= self.domain[1])
 
     def step(self, x: int) -> int:
-        if not self.in_domain(x):
+        if self.domain is not None and not self.domain[0] <= x <= self.domain[1]:
             raise MapDomainError(f"{self.label or 'map'} is undefined here", x)
         br = self.branches[x % self.modulus]
         return (br.num * x + br.add) // br.den

@@ -117,8 +117,9 @@ def perm_analysis(n: int) -> PermutationReport:
         p = p[p]
     else:
         raise ArithmeticError(f"a residue mod 2^{n} has no period 2^j with j <= {n}")
-    exps, sizes = np.unique(e, return_counts=True)
-    counts = {1 << int(j): int(c) >> int(j) for j, c in zip(exps, sizes)}
+    sizes = np.bincount(e)  # no sort: e has 2^n entries, all in 0..n
+    exps = np.flatnonzero(sizes)
+    counts = {1 << int(j): int(sizes[j]) >> int(j) for j in exps}
     fixed = np.flatnonzero(e == 0).tolist()
     return PermutationReport(n, 1 << int(exps[-1]), counts, fixed, [x for x in fixed if x & 1])
 

@@ -1,6 +1,7 @@
 """The T-step kernel: `descend` against the scalar records, and every
 sweep with its exact path forced."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,79 @@ def test_bare_descend_matches_single_steps(cases, step_limit):
             rec = stats_record(n)
             assert first_below(n, n, 10**4) == rec.stopping_time
             assert trajectory(t_map(), n, target_set={1}).steps == rec.total_stopping_time
+
+
+def descend_jumps_unchunked(starts, step_limit, thr):
+    """The former `kernel._descend_jumps`: every jump on the whole batch,
+    with no chunks and no pool."""
+    limit = (GUARD // 3**K) << K  # a jump from v <= limit stays <= GUARD + 3^K
+    single = thr <= 2
+    idx = np.flatnonzero(~single)
+    v, t = starts[idx], thr[idx]
+    for _ in range(step_limit // K):
+        if not len(idx):
+            break
+        over = v > limit
+        if over.any():
+            single[idx[over]] = True
+            idx, v, t = idx[~over], v[~over], t[~over]
+        low = v & ((1 << K) - 1)
+        v >>= K  # in place: v is always a copy made by indexing
+        v *= kernel._JUMP_MUL[low]
+        v += kernel._JUMP_ADD[low]
+        stays = np.flatnonzero(v >= t)  # one index for the three compactions
+        idx, v, t = idx[stays], v[stays], t[stays]
+    single[idx] = True  # a jump may have passed over the drop of a start still live
+    rerun = np.flatnonzero(single)
+    return rerun[kernel._descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+
+
+def grid_batch(size, step_limit, kind):
+    """`size` starts drawn near 2, near 10^6, within 2^20 of the jump guard
+    and within 2^20 of GUARD, with thresholds n, n // 3, random values in
+    {1, 2, 3}, or n with 2 on every fifth start (kind 0 to 3)."""
+    rng = np.random.default_rng([size, step_limit, kind])
+    family = rng.integers(0, 4, size)
+    centre = np.array([2 + 2**11, 10**6, JUMP_GUARD, GUARD], dtype=np.int64)[family]
+    spread = np.array([2**11, 2**18, 2**20, 2**20])[family]
+    starts = rng.integers(centre - spread, centre + spread + 1)
+    every_fifth = np.arange(size) % 5 == 0
+    thr = (starts, starts // 3, rng.integers(1, 4, size), np.where(every_fifth, 2, starts))
+    return starts, thr[kind]
+
+
+CHUNK = kernel._CHUNK
+GRID_STEP_LIMITS = (0, 7, 8, 31, 32, 33, 40, 1000, 10**5)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
+    for step_limit in GRID_STEP_LIMITS:
+        starts, _ = grid_batch(size, step_limit, 0)
+        want = descend_jumps_unchunked(starts, step_limit, starts)
+        assert np.array_equal(descend(starts, step_limit).unresolved, want)
+    # thresholds 0 and 1 keep the single-step fallback going to the step
+    # limit, so it is stubbed to give up on every start it is handed: each
+    # side then returns exactly the starts its jumps sent to it, the one
+    # input of the shared fallback, and equal inputs give equal outputs
+    monkeypatch.setattr(kernel, "_descend_steps",
+                        lambda starts, *_: kernel.Descent(np.arange(len(starts))))
+    for step_limit in GRID_STEP_LIMITS:
+        for kind in range(4):
+            starts, thr = grid_batch(size, step_limit, kind)
+            want = descend_jumps_unchunked(starts, step_limit, thr)
+            assert np.array_equal(descend(starts, step_limit, thr).unresolved, want)
+
+
+def test_bare_descent_keeps_no_batch_long_column():
+    # a bare descent holds one chunk, the pooled survivors and one bool per
+    # start: its traced peak stays below one int64 column of the batch
+    starts = np.arange(2, 2**21 + 2)
+    tracemalloc.start()
+    descend(starts, 10**5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * 2**21
 
 
 # the first window holds the n whose T^8(n) = 3^6 q + T^8(r) crosses GUARD,
