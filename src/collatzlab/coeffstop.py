@@ -17,10 +17,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-import numpy as np
-
 from .cf import cf_log2_3
-from .kernel import descend
+from .kernel import descend_range
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 DEFAULT_K_CAP = 4000
@@ -229,13 +227,10 @@ def _critical_denominators() -> tuple[int, ...]:
 
 def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     """All n <= n_max whose coefficient stopping time is <= k_max but whose
-    stopping time differs (vectorized, exact)."""
+    stopping time differs (vectorized, exact), by one loop over
+    `kernel.descend_range`, which cuts 2..n_max into batches."""
     bad: list[int] = []
-    block = 1 << 20
-    for lo in range(2, n_max + 1, block):
-        hi = min(lo + block - 1, n_max)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        d = descend(n, DEFAULT_STEP_LIMIT, kappa=True)
+    for n, d in descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
         if len(d.unresolved):
             raise RuntimeError(f"coefficient sweep: n={n[d.unresolved[0]]} did not drop "
                                f"below itself within {DEFAULT_STEP_LIMIT} steps")

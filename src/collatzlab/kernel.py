@@ -13,12 +13,17 @@ The jumps are taken chunk, then pool: the first few on one cache-sized
 chunk of starts at a time, the rest on the pooled survivors of every
 chunk, so a bare descent holds one chunk, the pool and one bool per start,
 whatever the batch size.
+
+`descend_range` is the one place where a range of starts lo..hi is cut
+into batches: the naive sweep of `stats.verify_range`,
+`stats.below_power_density` and the coefficient sweep of `coeffstop` each
+run one loop over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -90,6 +95,26 @@ def descend(
     if peak or kappa:
         return _descend_steps(starts, step_limit, threshold, peak, kappa)
     return Descent(_descend_jumps(starts, step_limit, threshold))
+
+
+#: starts per batch of `descend_range`.  At 2^21 each benchmarked range is
+#: one batch (naive verify_range(2^21) and the coefficient bound 238,670).
+#: Smaller batches lower the peak resident set but run slower: with no
+#: 16 MiB array freed, glibc malloc never raises its mmap and trim
+#: thresholds, so it unmaps every batch's pages and faults them in again.
+_BLOCK = 1 << 21
+
+
+def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
+                  peak: bool = False, kappa: bool = False) -> Iterator[tuple[np.ndarray, Descent]]:
+    """Yield (n, descend(n, step_limit, threshold(n), peak=peak,
+    kappa=kappa)) for the int64 starts n of lo..hi, in ascending batches of
+    _BLOCK numbers; threshold maps a batch to its thresholds, and None
+    means n itself.  An empty range (lo > hi) yields nothing."""
+    for start in range(lo, hi + 1, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK - 1, hi) + 1, dtype=np.int64)
+        thr = None if threshold is None else threshold(n)
+        yield n, descend(n, step_limit, thr, peak=peak, kappa=kappa)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:

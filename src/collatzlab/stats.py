@@ -7,10 +7,13 @@ largest iterate T^k(n) over k >= 1.
 
 The sweeps run on `kernel.descend`: int64 numpy arrays, with any orbit
 that crosses the int64 guard run in exact Python ints, so every reported
-number is the result of exact arithmetic.  The per-integer records
-(stats_record, and height_and_total_stop, equal_height_tuples and
-sweep_csv_rows through it) read one `maps._walk` path each, under the
-walker's step and magnitude limits.
+number is the result of exact arithmetic.  A sweep over a whole range of
+starts (naive verify_range, below_power_density) is one loop over
+`kernel.descend_range`, the one place that cuts a range into batches;
+sieved spans and excursion blocks build their own starts.  The
+per-integer records (stats_record, and height_and_total_stop,
+equal_height_tuples and sweep_csv_rows through it) read one `maps._walk`
+path each, under the walker's step and magnitude limits.
 
 excursion_records keeps no table of t.  An n >= 3 is an excursion
 champion exactly when its path record p(n), the largest iterate before n
@@ -276,9 +279,10 @@ def verify_range(
     skipped: every member above the sieve's max_threshold of an eliminated
     class drops below itself, so only 2..naive_cutoff, with naive_cutoff =
     min(max_threshold, n_max), is swept naively, and above it only members
-    of surviving classes are iterated.  The sieve loses no soundness.  Of a
-    sieved report, only naive_cutoff and candidates_iterated differ from the
-    earlier cutoff max(max_threshold, 2^sieve_k).
+    of surviving classes are iterated.  The sieve loses no soundness.
+    threads > 1 runs only the sieved spans in parallel processes; naive
+    mode and the naive part of sieve mode run serially, through
+    `kernel.descend_range`.
 
     A member n of a surviving class r mod 2^sieve_k has no iterate below n
     in its first k = sieve_k steps: T^j(n) = (3^a_j n + B_j) / 2^j with
@@ -301,9 +305,8 @@ def verify_range(
         fractions = {j: str(sieve.survivor_fraction(j)) for j in range(1, sieve_k + 1)}
         cutoff = min(sieve.max_threshold, n_max)
     failures: list[int] = []
-    for lo in range(2, cutoff + 1, 1 << 22):
-        block = np.arange(lo, min(lo + (1 << 22) - 1, cutoff) + 1, dtype=np.int64)
-        failures += block[descend(block, step_limit).unresolved].tolist()
+    for n, d in kernel.descend_range(2, cutoff, step_limit):
+        failures += n[d.unresolved].tolist()
     iterated = max(cutoff - 1, 0)
     if cutoff < n_max:
         span = max(1 << 22, 1 << sieve_k)
@@ -359,12 +362,8 @@ def below_power_density(
         raise ValueError("beta must lie in (0, 1)")
     if n_max < 10**3:
         raise ValueError("n_max must be >= 1000")
-    hits = 0
-    for lo in range(2, n_max + 1, 1 << 21):
-        hi = min(lo + (1 << 21) - 1, n_max)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        hits += len(n) - len(descend(n, step_limit, _power_ceiling(n, beta)).unresolved)
-    return Fraction(hits, n_max - 1)
+    ranged = kernel.descend_range(2, n_max, step_limit, lambda n: _power_ceiling(n, beta))
+    return Fraction(sum(len(n) - len(d.unresolved) for n, d in ranged), n_max - 1)
 
 
 def _power_ceiling(n: np.ndarray, beta: Fraction) -> np.ndarray:

@@ -51,6 +51,59 @@ def record_exact_starts(monkeypatch):
     return calls
 
 
+def test_multi_block_reports_match_one_block(monkeypatch):
+    # with 64-number batches the naive sweep, below_power_density and the
+    # coefficient sweep (2..281, 5 batches) each run many batches of
+    # `descend_range`, and every report is the one a single batch gives
+    want = _reports()
+    sizes = []
+    descend_ = kernel.descend
+
+    def counted(starts, *args, **kwargs):
+        sizes.append(len(starts))
+        return descend_(starts, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_BLOCK", 64)
+    monkeypatch.setattr(kernel, "descend", counted)
+    assert _reports() == want
+    assert max(sizes) == 64 and len(sizes) > 600
+
+
+@pytest.mark.parametrize("lo, hi", [(10, 9), (27, 27), (2, 300), (63, 193),
+                                    (GUARD - 40, GUARD + 40)])
+@pytest.mark.parametrize("threshold, flags", [
+    (None, {}),
+    (lambda n: n // 3, {}),
+    (lambda n: _power_ceiling(n, Fraction(1, 2)), {}),
+    (None, {"peak": True}),
+    (None, {"kappa": True}),
+    (None, {"peak": True, "kappa": True}),
+])
+def test_descend_range_matches_one_descent(monkeypatch, lo, hi, threshold, flags):
+    # 64-number batches, so 63..193 crosses batch edges and 2..300 runs
+    # five batches; GUARD - 40..GUARD + 40 takes the exact path
+    monkeypatch.setattr(kernel, "_BLOCK", 64)
+    got = list(kernel.descend_range(lo, hi, 1000, threshold, **flags))
+    if lo > hi:
+        assert got == []
+        return
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    assert np.array_equal(np.concatenate([m for m, _ in got]), n)
+    want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
+    offsets = np.cumsum([0] + [len(m) for m, _ in got])
+    unresolved = np.concatenate([at + d.unresolved for at, (_, d) in zip(offsets, got)])
+    assert unresolved.dtype == want.unresolved.dtype
+    assert unresolved.tolist() == want.unresolved.tolist()
+    for name in ("steps", "drop", "peak", "kappa"):
+        col = getattr(want, name)
+        if col is None:
+            assert all(getattr(d, name) is None for _, d in got)
+            continue
+        joined = np.concatenate([getattr(d, name) for _, d in got])
+        assert joined.dtype == col.dtype
+        assert joined.tolist() == col.tolist()
+
+
 @pytest.mark.parametrize("guard", [10**4, 50])
 def test_forced_exact_continuation_matches(monkeypatch, guard):
     # with the guard lowered, starts above it and orbits that cross it go
