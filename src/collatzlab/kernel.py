@@ -102,19 +102,23 @@ def descend(
 #: Smaller batches lower the peak resident set but run slower: with no
 #: 16 MiB array freed, glibc malloc never raises its mmap and trim
 #: thresholds, so it unmaps every batch's pages and faults them in again.
+#: Past one batch the old sizes differ (2^22 naive, 2^20 coefficient
+#: sweep): verify_range(2^23, mode="naive") keeps its time at a lower peak,
+#: while _sweep_for_disagreement(5 * 10^6, 4000) runs about 8% slower in
+#: the median and at twice the peak, since a kappa descent holds its
+#: columns for the whole batch.
 _BLOCK = 1 << 21
 
 
 def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
-                  peak: bool = False, kappa: bool = False) -> Iterator[tuple[np.ndarray, Descent]]:
-    """Yield (n, descend(n, step_limit, threshold(n), peak=peak,
-    kappa=kappa)) for the int64 starts n of lo..hi, in ascending batches of
-    _BLOCK numbers; threshold maps a batch to its thresholds, and None
-    means n itself.  An empty range (lo > hi) yields nothing."""
+                  kappa: bool = False) -> Iterator[tuple[np.ndarray, Descent]]:
+    """Yield (n, descend(n, step_limit, threshold(n), kappa=kappa)) for
+    the int64 starts n of lo..hi, in ascending batches of _BLOCK numbers;
+    threshold maps a batch to its thresholds, and None means n itself.  An empty range (lo > hi) yields nothing."""
     for start in range(lo, hi + 1, _BLOCK):
         n = np.arange(start, min(start + _BLOCK - 1, hi) + 1, dtype=np.int64)
         thr = None if threshold is None else threshold(n)
-        yield n, descend(n, step_limit, thr, peak=peak, kappa=kappa)
+        yield n, descend(n, step_limit, thr, kappa=kappa)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:

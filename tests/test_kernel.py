@@ -75,9 +75,8 @@ def test_multi_block_reports_match_one_block(monkeypatch):
     (None, {}),
     (lambda n: n // 3, {}),
     (lambda n: _power_ceiling(n, Fraction(1, 2)), {}),
-    (None, {"peak": True}),
     (None, {"kappa": True}),
-    (None, {"peak": True, "kappa": True}),
+    (lambda n: n // 3, {"kappa": True}),
 ])
 def test_descend_range_matches_one_descent(monkeypatch, lo, hi, threshold, flags):
     # 64-number batches, so 63..193 crosses batch edges and 2..300 runs
