@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
+from . import kernel
 from .cf import cf_log2_3
-from .kernel import descend_range
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 DEFAULT_K_CAP = 4000
@@ -230,12 +230,13 @@ def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     stopping time differs (vectorized, exact), by one loop over
     `kernel.descend_range`, which cuts 2..n_max into batches."""
     bad: list[int] = []
-    for n, d in descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
+    for first, d in kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
         if len(d.unresolved):
-            raise RuntimeError(f"coefficient sweep: n={n[d.unresolved[0]]} did not drop "
+            raise RuntimeError(f"coefficient sweep: n={first + d.unresolved[0]} did not drop "
                                f"below itself within {DEFAULT_STEP_LIMIT} steps")
         # kappa <= sigma always; disagreement iff kappa came strictly earlier
-        bad.extend(n[(d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)].tolist())
+        late = (d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)
+        bad.extend((first + late.nonzero()[0]).tolist())
     return bad
 
 

@@ -365,8 +365,9 @@ def _band_hits(lo: int, hi: int, theta: int, width: int) -> Iterator[tuple[int, 
     its residue.
 
     Successive hits are walked by the three-distance theorem for return
-    times (V. T. Sós 1958; Slater 1967).  On the band, with y the offset of a hit, a shift by t moves y by the
-    signed residue s(t) of t*theta, and a return needs |s(t)| < width.  Let
+    times (V. T. Sós 1958; Slater 1967).  On the band, with y the offset
+    of a hit, a shift by t moves y by the signed residue s(t) of t*theta,
+    and a return needs |s(t)| < width.  Let
     t+ be the least t >= 1 with 0 <= s(t) < width (s = alpha) and t- the
     least with -width < s(t) < 0 (s = -beta).  Then alpha + beta >= width,
     or t+ - t- (or t- - t+) would be a shorter shift of the same kind.  The

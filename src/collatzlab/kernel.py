@@ -9,10 +9,16 @@ falls below a threshold (the start itself for the stopping time; Terras
 verdict is asked for; a start above GUARD, or one whose orbit crosses it,
 is run again from the start by the same single-step loop on Python ints,
 so every number it returns is exact and no caller sees an overflow.
-The jumps are taken chunk, then pool: the first few on one cache-sized
-chunk of starts at a time, the rest on the pooled survivors of every
-chunk, so a bare descent holds one chunk, the pool and one bool per start,
-whatever the batch size.
+
+`descend_at` is the one driver, chunk then pool.  It reads its starts and
+thresholds through a function at(idx) of an index array, one cache-sized
+chunk of indices at a time, and takes the first 32 steps of each chunk
+(4 jumps, or 32 single steps where peak or kappa is asked for); the rest
+run on the pooled survivors of every chunk.  So a descent holds one chunk,
+the pool and its outputs, whatever the batch size: no batch-long array of
+starts, thresholds or live columns is built.  `descend` gathers from given
+arrays, `descend_range` computes first + idx and its threshold, and the
+sieved spans of `stats.verify_range` compute each candidate from its index.
 
 `descend_range` is the one place where a range of starts lo..hi is cut
 into batches: the naive sweep of `stats.verify_range`,
@@ -69,7 +75,8 @@ def descend(
     (default: the start itself), giving up after step_limit steps.  Only the
     outputs asked for are tracked (peak: drop and peak; kappa: steps and
     kappa).  kappa is the first k with 3^a < 2^k, a the odd steps among the
-    first k; it never exceeds the stopping time.
+    first k; it never exceeds the stopping time.  The starts are gathered
+    chunk by chunk by `descend_at`.
 
     A bare call (neither peak nor kappa) only sorts the starts into resolved
     and unresolved, and takes its steps K = 8 at a time: T^K(2^K q + r) =
@@ -83,42 +90,56 @@ def descend(
     from the outset: its orbit may end in the cycle 1, 2, which every even
     K jumps from 2 to 2, never below 2.
 
-    The first _HEAD_JUMPS jumps (32 steps) run on one chunk of _CHUNK = 2^16
-    starts at a time, and the survivors of every chunk (about 2% of a naive
-    range, 13% of sieve survivors) are pooled for the rest.  A verdict
-    depends on its own orbit alone, and every pooled start has taken the
-    same jumps, so the split changes no output.  The working set is one
-    chunk, the pool and one bool per start, whatever the batch size.
+    The first _HEAD_JUMPS jumps of a bare call, or the first _HEAD_STEPS
+    single steps of a call with peak or kappa (32 steps either way), run on
+    one chunk of _CHUNK = 2^15 starts at a time, and the survivors of every
+    chunk (about 2% of a naive range, 13% of sieve survivors) are pooled for
+    the rest.  Every output of a start depends on its own orbit alone, and
+    every pooled start has taken the same steps, so the split changes no
+    output.  The working set is one chunk, the pool and the outputs: one
+    bool per start for a bare call, else the columns asked for.
     """
     if threshold is None:
         threshold = starts
+    return descend_at(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
+                      peak=peak, kappa=kappa)
+
+
+def descend_at(size: int, at: Callable, step_limit: int, *, peak: bool = False,
+               kappa: bool = False) -> Descent:
+    """`descend` of `size` starts read through at(idx) -> (starts,
+    thresholds), two int64 arrays for an int64 array idx of indices in
+    0..size - 1: the chunk-then-pool driver every descent runs on.  at is
+    called once per chunk of _CHUNK indices, and once more on the indices
+    of the starts that are run again (single steps for a bare call, Python
+    ints past GUARD), so no batch-long array of starts or thresholds is
+    built unless at builds it.  The outputs are indexed by idx."""
     if peak or kappa:
-        return _descend_steps(starts, step_limit, threshold, peak, kappa)
-    return Descent(_descend_jumps(starts, step_limit, threshold))
+        return _descend_singles(size, at, step_limit, peak, kappa)
+    return Descent(_descend_jumps(size, at, step_limit))
 
 
-#: starts per batch of `descend_range`.  At 2^21 each benchmarked range is
-#: one batch (naive verify_range(2^21) and the coefficient bound 238,670).
-#: Smaller batches lower the peak resident set but run slower: with no
-#: 16 MiB array freed, glibc malloc never raises its mmap and trim
-#: thresholds, so it unmaps every batch's pages and faults them in again.
-#: Past one batch the old sizes differ (2^22 naive, 2^20 coefficient
-#: sweep): verify_range(2^23, mode="naive") keeps its time at a lower peak,
-#: while _sweep_for_disagreement(5 * 10^6, 4000) runs about 8% slower in
-#: the median and at twice the peak, since a kappa descent holds its
-#: columns for the whole batch.
+#: starts per batch of `descend_range`.  The batch bounds only the output
+#: columns: `descend_at` computes the starts and thresholds chunk by chunk,
+#: so a bare batch holds one bool per start and a kappa batch its two int64
+#: output columns (32 MiB at 2^21).  At 2^21 each benchmarked range is one
+#: batch (naive verify_range(2^21) and the coefficient bound 238,670).
 _BLOCK = 1 << 21
 
 
 def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
-                  kappa: bool = False) -> Iterator[tuple[np.ndarray, Descent]]:
-    """Yield (n, descend(n, step_limit, threshold(n), kappa=kappa)) for
-    the int64 starts n of lo..hi, in ascending batches of _BLOCK numbers;
-    threshold maps a batch to its thresholds, and None means n itself.  An empty range (lo > hi) yields nothing."""
-    for start in range(lo, hi + 1, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK - 1, hi) + 1, dtype=np.int64)
-        thr = None if threshold is None else threshold(n)
-        yield n, descend(n, step_limit, thr, kappa=kappa)
+                  kappa: bool = False) -> Iterator[tuple[int, Descent]]:
+    """Yield (first, descend(n, step_limit, threshold(n), kappa=kappa)) for
+    the int64 starts n of lo..hi, in ascending batches of _BLOCK numbers
+    from first; a batch's `Descent` is indexed by n - first.  threshold maps
+    an array of starts to their thresholds elementwise, and None means n
+    itself.  The starts and thresholds are computed chunk by chunk, never
+    for a whole batch.  An empty range (lo > hi) yields nothing."""
+    for first in range(lo, hi + 1, _BLOCK):
+        def at(idx, first=first):
+            n = first + idx
+            return n, n if threshold is None else threshold(n)
+        yield first, descend_at(min(_BLOCK, hi + 1 - first), at, step_limit, kappa=kappa)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
@@ -155,37 +176,54 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
 
 _K = 8
 _, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
-_CHUNK = 1 << 16  # starts per head chunk, whose columns stay in cache
+_CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
 _HEAD_JUMPS = 4  # jumps per chunk before the survivors are pooled
+_HEAD_STEPS = _HEAD_JUMPS * _K  # single steps per chunk before the survivors are pooled
 
 
-def _descend_jumps(starts: np.ndarray, step_limit: int, thr: np.ndarray) -> np.ndarray:
-    """The unresolved indices of a bare `descend`, by K-step jumps: the
-    first _HEAD_JUMPS on one chunk of _CHUNK starts at a time, the rest on
-    the pooled survivors of every chunk."""
-    single = thr <= 2
+def _chunk_then_pool(size: int, at: Callable, head: Callable, tail: Callable) -> dict:
+    """Run head on the live columns {idx, v, thr} of one chunk of _CHUNK
+    indices at a time, read through at, and tail on the pooled columns
+    head returns; returns what tail returns.  An empty batch is one empty
+    chunk."""
+    pool = []
+    for lo in range(0, max(size, 1), _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
+        v, t = at(idx)
+        pool.append(head({"idx": idx, "v": v, "thr": t}))
+    return tail({name: np.concatenate([live[name] for live in pool]) for name in pool[0]})
+
+
+def _descend_jumps(size: int, at: Callable, step_limit: int) -> np.ndarray:
+    """The unresolved indices of a bare `descend_at`, by K-step jumps: the
+    first _HEAD_JUMPS on one chunk at a time, the rest on the pooled
+    survivors of every chunk, and single steps for the starts marked in a
+    bool per start."""
+    single = np.zeros(size, dtype=bool)
     jumps = step_limit // _K
     head = min(jumps, _HEAD_JUMPS)
-    pool = []
-    for lo in range(0, len(starts), _CHUNK):
-        idx = lo + np.flatnonzero(~single[lo:lo + _CHUNK])
-        pool.append(_jump(idx, starts[idx], thr[idx], head, single))
-    if pool:
-        idx, v, t = (np.concatenate(col) for col in zip(*pool))
-        live = _jump(idx, v, t, jumps - head, single)[0]
-        single[live] = True  # a jump may have passed over the drop of a start still live
+
+    def first(live):
+        low = live["thr"] <= 2
+        if low.any():
+            single[live["idx"][low]] = True
+            live = {name: col[~low] for name, col in live.items()}
+        return _jump(live, head, single)
+
+    live = _chunk_then_pool(size, at, first, lambda live: _jump(live, jumps - head, single))
+    single[live["idx"]] = True  # a jump may have passed over the drop of a start still live
     rerun = np.flatnonzero(single)
-    return rerun[_descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+    v, t = at(rerun)
+    return rerun[_descend_steps(v, step_limit, t).unresolved]
 
 
-def _jump(
-    idx: np.ndarray, v: np.ndarray, t: np.ndarray, jumps: int, single: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Take up to `jumps` K-step jumps of the starts idx, at iterates v
-    (a copy, stepped in place) with thresholds t, and return the columns of
-    those still live.  A start whose iterate passes the jump guard is
-    marked in `single` and dropped."""
+def _jump(live: dict, jumps: int, single: np.ndarray) -> dict:
+    """Take up to `jumps` K-step jumps of the live columns {idx, v, thr}
+    and return those still live; v may share memory with thr, so the first
+    operation of a jump makes a new array.  A start whose iterate passes
+    the jump guard is marked in `single` and dropped."""
     limit = (GUARD // 3**_K) << _K  # a jump from v <= limit stays <= GUARD + 3^K
+    idx, v, t = live["idx"], live["v"], live["thr"]
     for _ in range(jumps):
         if not len(idx):
             break
@@ -194,12 +232,12 @@ def _jump(
             single[idx[over]] = True
             idx, v, t = idx[~over], v[~over], t[~over]
         low = v & ((1 << _K) - 1)
-        v >>= _K
+        v = v >> _K
         v *= _JUMP_MUL[low]
         v += _JUMP_ADD[low]
         stays = np.flatnonzero(v >= t)  # one index for the three compactions
         idx, v, t = idx[stays], v[stays], t[stays]
-    return idx, v, t
+    return {"idx": idx, "v": v, "thr": t}
 
 
 def _descend_steps(
@@ -209,36 +247,70 @@ def _descend_steps(
     peak: bool = False,
     kappa: bool = False,
 ) -> Descent:
-    """`descend` by single steps: the live set is compacted as starts
-    retire, and a bare call costs a step, a compare, a compaction and a
-    guard test per step.  A start whose orbit passes GUARD leaves the int64
-    run; those starts are run again from the start, in one batch, by this
-    same loop on object arrays of Python ints, which has no guard."""
-    size, exact = len(starts), starts.dtype == object
+    """`descend` by single steps of given arrays: int64 ones, or object
+    arrays of Python ints for the exact run of the orbits past GUARD."""
+    return _descend_singles(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
+                            peak, kappa, exact=starts.dtype == object)
+
+
+def _descend_singles(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
+                     exact: bool = False) -> Descent:
+    """`descend_at` by single steps: the first _HEAD_STEPS on one chunk at a
+    time, the rest on the pooled survivors of every chunk.  A start whose
+    orbit passes GUARD leaves the int64 run; those starts are run again
+    from the start, in one batch, by `_descend_steps` on object arrays of
+    Python ints, whose run has no guard."""
     dtype = object if exact else np.int64
     names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
     out = {name: np.zeros(size, dtype=dtype) for name in names}
-    live = {"idx": np.arange(size), "v": starts, "thr": threshold}
-    if peak:
-        live["peak"] = np.zeros(size, dtype=dtype)
-    if kappa:
-        live["a"] = np.zeros(size, dtype=np.int64)
-        live["kappa"] = np.zeros(size, dtype=np.int64)
-        amax, p3 = -1, 1  # largest a with 3^a < 2^step, and 3^(amax + 1)
+    head = min(step_limit, _HEAD_STEPS)
     past = []  # indices of orbits that went past GUARD
-    step = 0
+
+    def first(live):
+        if peak:
+            live["peak"] = np.zeros(len(live["idx"]), dtype=dtype)
+        if kappa:
+            live["a"] = np.zeros(len(live["idx"]), dtype=np.int64)
+            live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
+        return _steps(live, out, 0, head, past)
+
+    unresolved = _chunk_then_pool(size, at, first,
+                                  lambda live: _steps(live, out, head, step_limit, past))["idx"]
+    if past:
+        idx = np.concatenate(past)
+        v, t = at(idx)
+        rerun = _descend_steps(v.astype(object), step_limit, t, peak, kappa)
+        unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])))
+        for name in out:
+            col = getattr(rerun, name)
+            if col.max() > np.iinfo(np.int64).max:  # only a peak gets here
+                out[name] = out[name].astype(object)
+            out[name][idx] = col
+    return Descent(unresolved, **out)
+
+
+def _steps(live: dict, out: dict, step: int, stop: int, past: list) -> dict:
+    """Take the single steps step + 1..stop of the live columns: idx, v,
+    thr and the state the outputs need (peak; a and kappa).  A start leaves
+    once its iterate falls below its threshold, and its outputs are written
+    to the out columns at its idx.  An int64 iterate past GUARD leaves too,
+    its idx appended to past.  Returns the columns still live at stop; a
+    bare call costs a step, a compare, a compaction and a guard test per
+    step."""
+    exact = live["v"].dtype == object
+    amax, p3 = -1, 1  # largest a with 3^a < 2^step, and 3^(amax + 1), caught up at each step
     while len(live["idx"]):
         if not exact and (big := live["v"] > GUARD).any():
             past.append(live["idx"][big])
-            live = {k: s[~big] for k, s in live.items()}
-        if step == step_limit:
+            live = {name: col[~big] for name, col in live.items()}
+        if step == stop:
             break
         v, odd = t_step(live["v"])
         live["v"] = v
         step += 1
-        if peak:
+        if "peak" in live:
             np.maximum(live["peak"], v, out=live["peak"])
-        if kappa:
+        if "a" in live:
             live["a"] += odd
             while p3.bit_length() <= step:
                 amax, p3 = amax + 1, 3 * p3
@@ -250,16 +322,5 @@ def _descend_steps(
             for name, col in out.items():
                 col[at] = step if name == "steps" else live["v" if name == "drop" else name][gone]
         keep = np.flatnonzero(stays)  # one index for every compaction
-        live = {k: s[keep] for k, s in live.items()}
-
-    unresolved = live["idx"]
-    if past:
-        idx = np.concatenate(past)
-        rerun = _descend_steps(starts[idx].astype(object), step_limit, threshold[idx], peak, kappa)
-        unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])))
-        for name in out:
-            col = getattr(rerun, name)
-            if col.max() > np.iinfo(np.int64).max:  # only a peak gets here
-                out[name] = out[name].astype(object)
-            out[name][idx] = col
-    return Descent(unresolved, **out)
+        live = {name: col[keep] for name, col in live.items()}
+    return live

@@ -5,12 +5,15 @@ T-steps ((3x+1)/2 merged form); height is measured in C-steps (3x+1 split
 form); gamma = total stopping time / ln n; the excursion t(n) is the
 largest iterate T^k(n) over k >= 1.
 
-The sweeps run on `kernel.descend`: int64 numpy arrays, with any orbit
-that crosses the int64 guard run in exact Python ints, so every reported
-number is the result of exact arithmetic.  A sweep over a whole range of
-starts (naive verify_range, below_power_density) is one loop over
-`kernel.descend_range`, the one place that cuts a range into batches;
-sieved spans and excursion blocks build their own starts.  The
+The sweeps run on `kernel.descend_at`, which reads its starts chunk by
+chunk: int64 numpy arrays, with any orbit that crosses the int64 guard
+run in exact Python ints, so every reported number is the result of
+exact arithmetic.  A sweep over a whole range of starts (naive
+verify_range, below_power_density) is one loop over
+`kernel.descend_range`, the one place that cuts a range into batches.
+A sieved span of verify_range computes each candidate and its start from
+the candidate's index, so neither builds a range-long array of starts;
+excursion blocks build theirs, through `_survivor_descent`.  The
 per-integer records (stats_record, and height_and_total_stop,
 equal_height_tuples and sweep_csv_rows through it) read one `maps._walk`
 path each, under the walker's step and magnitude limits.
@@ -230,7 +233,11 @@ def _survivor_descent(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
     n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r),
     with step_limit - k steps left; an n whose T^k(n) could pass the
     kernel's GUARD is started at step 0, so its peak runs over 1 <= j <=
-    steps.  Every n is unresolved when step_limit < k."""
+    steps.  Every n is unresolved when step_limit < k.
+
+    It builds the span's whole grid of candidates, n and T^k(n): it is the
+    path of excursion_records, of the sieved spans that `_verify_chunk`
+    does not stream, and the oracle of those it does."""
     k = sieve.k
     q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
     qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
@@ -258,10 +265,35 @@ def _survivor_descent(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
 def _verify_chunk(args) -> tuple[int, list[int]]:
     """The n in lo..hi whose residue mod 2^k survives the sieve: their
     count, and those with no iterate below n within step_limit steps,
-    started as `_survivor_descent` starts them."""
+    started as `_survivor_descent` starts them.
+
+    The candidates are n = 2^k q + r, r one of the S survivors, in
+    ascending order: the rows q >= q0 = lo >> k of the grid that
+    `_survivor_descent` builds, from the first candidates of row q0 at or
+    above lo.  So candidate idx is row and column divmod(idx + first, S),
+    and `kernel.descend_at` reads its start T^k(n) = 3^a(r) q + T^k(r) and
+    its threshold n one chunk at a time: no span-long array is built but
+    the failures.  A span where some T^k(n) could pass GUARD, or with
+    step_limit < k, runs through `_survivor_descent`."""
     lo, hi, sieve, step_limit = args
-    n, d = _survivor_descent(lo, hi, sieve, step_limit)
-    return len(n), n[d.unresolved].tolist()
+    k, r = sieve.k, sieve.survivors
+    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
+    if step_limit < k or hi >> k > qmax.min():
+        n, d = _survivor_descent(lo, hi, sieve, step_limit)
+        return len(n), n[d.unresolved].tolist()
+    q0, mask = lo >> k, (1 << k) - 1
+    first = int(np.searchsorted(r, lo & mask))
+    end = ((hi >> k) - q0) * len(r) + int(np.searchsorted(r, hi & mask, side="right"))
+
+    def at(idx):
+        col = idx + first
+        q = col // len(r)
+        col -= q * len(r)  # the divmod, by a floor division numpy runs far faster
+        q += q0
+        return q * sieve.pow3[col] + sieve.images[col], (q << k) + r[col]
+
+    d = kernel.descend_at(end - first, at, step_limit - k)
+    return end - first, at(d.unresolved)[1].tolist()
 
 
 def verify_range(
@@ -305,8 +337,8 @@ def verify_range(
         fractions = {j: str(sieve.survivor_fraction(j)) for j in range(1, sieve_k + 1)}
         cutoff = min(sieve.max_threshold, n_max)
     failures: list[int] = []
-    for n, d in kernel.descend_range(2, cutoff, step_limit):
-        failures += n[d.unresolved].tolist()
+    for first, d in kernel.descend_range(2, cutoff, step_limit):
+        failures += (first + d.unresolved).tolist()
     iterated = max(cutoff - 1, 0)
     if cutoff < n_max:
         span = max(1 << 22, 1 << sieve_k)
@@ -363,7 +395,8 @@ def below_power_density(
     if n_max < 10**3:
         raise ValueError("n_max must be >= 1000")
     ranged = kernel.descend_range(2, n_max, step_limit, lambda n: _power_ceiling(n, beta))
-    return Fraction(sum(len(n) - len(d.unresolved) for n, d in ranged), n_max - 1)
+    unresolved = sum(len(d.unresolved) for _, d in ranged)
+    return Fraction(n_max - 1 - unresolved, n_max - 1)
 
 
 def _power_ceiling(n: np.ndarray, beta: Fraction) -> np.ndarray:

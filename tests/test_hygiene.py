@@ -120,6 +120,26 @@ def test_no_unreferenced_public_names(path):
     assert unreferenced_public_names(path.read_text(), REFERENCES) == []
 
 
+MAX_LINE = 100
+
+
+def long_lines(source: str) -> list[str]:
+    return [f"line {i} ({len(line)} chars)" for i, line in enumerate(source.splitlines(), 1)
+            if len(line) > MAX_LINE]
+
+
+def test_scan_finds_a_long_line():
+    fits = "x = '" + "z" * (MAX_LINE - 6) + "'"
+    over = "y = '" + "z" * (MAX_LINE - 5) + "'"
+    assert len(fits) == MAX_LINE
+    assert long_lines("\n".join(["z = 1", fits, over, ""])) == [f"line 3 ({MAX_LINE + 1} chars)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lines_fit_the_width(path):
+    assert long_lines(path.read_text()) == []
+
+
 def test_package_data_globs_match_shipped_files():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     config = tomllib.loads((ROOT / "pyproject.toml").read_text())

@@ -57,14 +57,15 @@ def test_multi_block_reports_match_one_block(monkeypatch):
     # `descend_range`, and every report is the one a single batch gives
     want = _reports()
     sizes = []
-    descend_ = kernel.descend
+    driver = kernel.descend_at
 
-    def counted(starts, *args, **kwargs):
-        sizes.append(len(starts))
-        return descend_(starts, *args, **kwargs)
+    def counted(size, at, *args, **kwargs):
+        if at.__qualname__.startswith("descend_range."):  # a batch, not a sieved span
+            sizes.append(size)
+        return driver(size, at, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "_BLOCK", 64)
-    monkeypatch.setattr(kernel, "descend", counted)
+    monkeypatch.setattr(kernel, "descend_at", counted)
     assert _reports() == want
     assert max(sizes) == 64 and len(sizes) > 600
 
@@ -80,17 +81,19 @@ def test_multi_block_reports_match_one_block(monkeypatch):
 ])
 def test_descend_range_matches_one_descent(monkeypatch, lo, hi, threshold, flags):
     # 64-number batches, so 63..193 crosses batch edges and 2..300 runs
-    # five batches; GUARD - 40..GUARD + 40 takes the exact path
+    # five batches; GUARD - 40..GUARD + 40 takes the exact path.  Each batch
+    # is yielded as (first, Descent), its Descent indexed by n - first
     monkeypatch.setattr(kernel, "_BLOCK", 64)
     got = list(kernel.descend_range(lo, hi, 1000, threshold, **flags))
     if lo > hi:
         assert got == []
         return
+    firsts = [first for first, _ in got]
+    assert firsts == list(range(lo, hi + 1, 64))
+    sizes = np.diff(firsts + [hi + 1]).tolist()
     n = np.arange(lo, hi + 1, dtype=np.int64)
-    assert np.array_equal(np.concatenate([m for m, _ in got]), n)
     want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
-    offsets = np.cumsum([0] + [len(m) for m, _ in got])
-    unresolved = np.concatenate([at + d.unresolved for at, (_, d) in zip(offsets, got)])
+    unresolved = np.concatenate([first - lo + d.unresolved for first, d in got])
     assert unresolved.dtype == want.unresolved.dtype
     assert unresolved.tolist() == want.unresolved.tolist()
     for name in ("steps", "drop", "peak", "kappa"):
@@ -98,6 +101,7 @@ def test_descend_range_matches_one_descent(monkeypatch, lo, hi, threshold, flags
         if col is None:
             assert all(getattr(d, name) is None for _, d in got)
             continue
+        assert [len(getattr(d, name)) for _, d in got] == sizes
         joined = np.concatenate([getattr(d, name) for _, d in got])
         assert joined.dtype == col.dtype
         assert joined.tolist() == col.tolist()
@@ -360,7 +364,8 @@ CHUNK = kernel._CHUNK
 GRID_STEP_LIMITS = (0, 7, 8, 31, 32, 33, 40, 1000, 10**5)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("size", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 6 * CHUNK + 5])
 def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
     for step_limit in GRID_STEP_LIMITS:
         starts, _ = grid_batch(size, step_limit, 0)
@@ -390,6 +395,29 @@ def test_bare_descent_keeps_no_batch_long_column():
     assert peak < 8 * 2**21
 
 
+def test_naive_sweep_builds_no_batch_long_array():
+    # the starts and thresholds of a `descend_range` batch are computed one
+    # chunk at a time, so a naive sweep of one 2^21 batch holds no int64
+    # column of it (a batch-long arange alone is 16 MiB)
+    tracemalloc.start()
+    verify_range(2**21, mode="naive")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_kappa_descent_keeps_only_its_output_columns():
+    # a kappa descent runs its first 32 single steps chunk by chunk and
+    # pools the survivors, so past its two output columns (steps, kappa)
+    # it holds one chunk and the pool, not five live columns per start
+    starts = np.arange(2, 2**21 + 2)
+    tracemalloc.start()
+    descend(starts, 10**5, kappa=True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * 8 * 2**21
+
+
 # the first window holds the n whose T^8(n) = 3^6 q + T^8(r) crosses GUARD,
 # the others the n that themselves sit just below and above it
 @pytest.mark.parametrize("lo", [((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 1])
@@ -402,3 +430,49 @@ def test_survivor_start_chunk_near_guard(lo, step_limit):
     count, fails = _verify_chunk((lo, hi, sieve, step_limit))
     assert count == len(members)
     assert sorted(fails) == [n for n in members if first_below(n, n, step_limit) is None]
+
+
+def survivor_chunk_oracle(lo, hi, sieve, step_limit):
+    """(count, failures) of a sieved span from `_survivor_descent`, which
+    builds the span's whole grid of candidates."""
+    n, d = stats._survivor_descent(lo, hi, sieve, step_limit)
+    return len(n), n[d.unresolved].tolist()
+
+
+# whole rows of q, a partial first row, a partial last row, both, and one
+# partial row; the k = 16 spans hold five and three rows of q
+SPANS = {8: [(2**20, 2**20 + 2**14 - 1), (10**6 + 37, 10**6 + 2**14),
+             (10**6, 10**6 + 2**14 + 101), (10**6 + 37, 10**6 + 2**14 + 101),
+             (10**6 + 37, 10**6 + 200)],
+         16: [(3 * 2**16 + 1234, 8 * 2**16 - 1), (3 * 2**16, 5 * 2**16 + 4321),
+              (10**7 + 77, 10**7 + 3 * 2**16 + 999)]}
+
+
+@pytest.mark.parametrize("k, lo, hi", [(k, lo, hi) for k, spans in SPANS.items()
+                                       for lo, hi in spans])
+def test_streamed_sieved_span_matches_the_survivor_grid(monkeypatch, k, lo, hi):
+    # `_verify_chunk` reads candidate i of a span from divmod(i + first, S);
+    # from step limit k on it must never fall back to the grid of
+    # `_survivor_descent`, and it must give that grid's count and failures
+    sieve = class_sieve(k)
+    for step_limit in (0, k - 1, k, 60, 1000):
+        want = survivor_chunk_oracle(lo, hi, sieve, step_limit)
+        if step_limit >= k:
+            monkeypatch.setattr(stats, "_survivor_descent", None)  # any call fails
+        assert _verify_chunk((lo, hi, sieve, step_limit)) == want
+        monkeypatch.undo()
+
+
+def test_parallel_sieved_spans_match_the_survivor_grid():
+    # two 2^22 spans in two processes, with failures at step limit 60
+    n_max, k, step_limit = 5 * 10**6 + 7, 8, 60
+    sieve = class_sieve(k)
+    rep = verify_range(n_max, sieve_k=k, step_limit=step_limit, threads=2)
+    cutoff = rep.naive_cutoff
+    count, failures = cutoff - 1, [n for n in range(2, cutoff + 1)
+                                   if first_below(n, n, step_limit) is None]
+    for lo in range(cutoff + 1, n_max + 1, 1 << 22):
+        cnt, res = survivor_chunk_oracle(lo, min(lo + (1 << 22) - 1, n_max), sieve, step_limit)
+        count, failures = count + cnt, failures + res
+    assert rep.candidates_iterated == count
+    assert rep.failures == sorted(failures) and len(failures) > 100
