@@ -17,8 +17,10 @@ chunk of indices at a time, and takes the first 32 steps of each chunk
 run on the pooled survivors of every chunk.  So a descent holds one chunk,
 the pool and its outputs, whatever the batch size: no batch-long array of
 starts, thresholds or live columns is built.  `descend` gathers from given
-arrays, `descend_range` computes first + idx and its threshold, and the
-sieved spans of `stats.verify_range` compute each candidate from its index.
+arrays, `descend_range` computes first + idx and its threshold, and
+`stats._survivor_descent`, the one stream of sieve survivors (the sieved
+spans of `stats.verify_range` and the pruned blocks of
+`stats.excursion_records`), computes each candidate from its index.
 
 `descend_range` is the one place where a range of starts lo..hi is cut
 into batches: the naive sweep of `stats.verify_range`,

@@ -11,10 +11,11 @@ run in exact Python ints, so every reported number is the result of
 exact arithmetic.  A sweep over a whole range of starts (naive
 verify_range, below_power_density) is one loop over
 `kernel.descend_range`, the one place that cuts a range into batches.
-A sieved span of verify_range computes each candidate and its start from
-the candidate's index, so neither builds a range-long array of starts;
-excursion blocks build theirs, through `_survivor_descent`.  The
-per-integer records (stats_record, and height_and_total_stop,
+The sieved spans of verify_range and the pruned blocks of
+excursion_records read the sieve survivors through one stream,
+`_survivor_descent`, which computes each candidate and its start from
+the candidate's index, so neither builds a span-long array of starts.
+The per-integer records (stats_record, and height_and_total_stop,
 equal_height_tuples and sweep_csv_rows through it) read one `maps._walk`
 path each, under the walker's step and magnitude limits.
 
@@ -38,7 +39,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -225,75 +226,74 @@ class VerificationReport:
 
 
 def _survivor_descent(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
-                      peak: bool = False) -> tuple[np.ndarray, kernel.Descent]:
-    """The n in lo..hi whose residue mod 2^k survives the sieve, ascending,
-    and their `Descent` below n: the unresolved indices into n and, with
-    peak, the largest T^j(n) over k < j <= steps.
+                      peak: bool = False) -> tuple[int, Callable, kernel.Descent]:
+    """The n in lo..hi whose residue mod 2^k survives the sieve, streamed
+    by index: (size, n_at, d), with n_at(idx) the candidates at the int64
+    indices idx into the ascending candidates and d their `Descent` below
+    n: the unresolved indices and, with peak, the largest iterate of n.
 
-    n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r),
-    with step_limit - k steps left; an n whose T^k(n) could pass the
-    kernel's GUARD is started at step 0, so its peak runs over 1 <= j <=
-    steps.  Every n is unresolved when step_limit < k.
+    The candidates are n = 2^k q + r, r one of the S survivors, from the
+    row q0 = lo >> k of the (q, r) grid on: candidate idx is at row and
+    column divmod(idx + first, S), first the survivors of row q0 below lo.
+    `kernel.descend_at` reads each start and its threshold n from the
+    index, one chunk at a time, so no span-long array is built.
 
-    It builds the span's whole grid of candidates, n and T^k(n): it is the
-    path of excursion_records, of the sieved spans that `_verify_chunk`
-    does not stream, and the oracle of those it does."""
-    k = sieve.k
-    q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
-    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
-    n = ((q << k) + sieve.survivors).ravel()  # ascending, as the survivors are
-    first, end = np.searchsorted(n, [lo, hi + 1]).tolist()
-    n = n[first:end]
-    if step_limit < k:  # no survivor drops within its first k steps
-        return n, kernel.Descent(np.arange(len(n)))
-    x = (np.minimum(q, qmax) * sieve.pow3 + sieve.images).ravel()[first:end]
-    big = (q > qmax).ravel()[first:end]
-    if not big.any():
-        return n, descend(x, step_limit - k, n, peak=peak)
-    unresolved, peaks = [], np.zeros(len(n), dtype=np.int64) if peak else None
-    for idx, starts, limit in ((np.flatnonzero(~big), x, step_limit - k),
-                               (np.flatnonzero(big), n, step_limit)):
-        d = descend(starts[idx], limit, n[idx], peak=peak)
-        unresolved.append(idx[d.unresolved])
-        if peak:
-            if d.peak.dtype == object:  # a peak past int64, from the exact path
-                peaks = peaks.astype(object)
-            peaks[idx] = d.peak
-    return n, kernel.Descent(np.sort(np.concatenate(unresolved)), peak=peaks)
-
-
-def _verify_chunk(args) -> tuple[int, list[int]]:
-    """The n in lo..hi whose residue mod 2^k survives the sieve: their
-    count, and those with no iterate below n within step_limit steps,
-    started as `_survivor_descent` starts them.
-
-    The candidates are n = 2^k q + r, r one of the S survivors, in
-    ascending order: the rows q >= q0 = lo >> k of the grid that
-    `_survivor_descent` builds, from the first candidates of row q0 at or
-    above lo.  So candidate idx is row and column divmod(idx + first, S),
-    and `kernel.descend_at` reads its start T^k(n) = 3^a(r) q + T^k(r) and
-    its threshold n one chunk at a time: no span-long array is built but
-    the failures.  A span where some T^k(n) could pass GUARD, or with
-    step_limit < k, runs through `_survivor_descent`."""
-    lo, hi, sieve, step_limit = args
+    A candidate has one of two starts.  It starts at step k, from T^k(n) =
+    3^a(r) q + T^k(r), with step_limit - k steps; it cannot drop in its
+    first k steps (see `verify_range`), so this is the verdict of
+    step_limit steps from n, and its peak runs over k < j <= steps.  Where
+    T^k(n) could pass the kernel's GUARD (q > qmax(r)), it starts at n
+    itself, tested only in a span whose top row passes the least qmax;
+    such a candidate still unresolved is run again from n with the full
+    step_limit, and its verdict and peak, over 1 <= j <= steps, replace
+    those of the first run.  With step_limit < k every candidate is
+    unresolved."""
     k, r = sieve.k, sieve.survivors
-    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
-    if step_limit < k or hi >> k > qmax.min():
-        n, d = _survivor_descent(lo, hi, sieve, step_limit)
-        return len(n), n[d.unresolved].tolist()
     q0, mask = lo >> k, (1 << k) - 1
     first = int(np.searchsorted(r, lo & mask))
-    end = ((hi >> k) - q0) * len(r) + int(np.searchsorted(r, hi & mask, side="right"))
+    size = ((hi >> k) - q0) * len(r) + int(np.searchsorted(r, hi & mask, side="right")) - first
+    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
+    guarded = hi >> k > qmax.min()
 
-    def at(idx):
+    def grid(idx):
         col = idx + first
         q = col // len(r)
         col -= q * len(r)  # the divmod, by a floor division numpy runs far faster
-        q += q0
-        return q * sieve.pow3[col] + sieve.images[col], (q << k) + r[col]
+        return q + q0, col
 
-    d = kernel.descend_at(end - first, at, step_limit - k)
-    return end - first, at(d.unresolved)[1].tolist()
+    def n_at(idx):
+        q, col = grid(idx)
+        return (q << k) + r[col]
+
+    def at(idx):
+        q, col = grid(idx)
+        n = (q << k) + r[col]
+        if not guarded:
+            return q * sieve.pow3[col] + sieve.images[col], n
+        x = np.minimum(q, qmax[col]) * sieve.pow3[col] + sieve.images[col]
+        return np.where(q > qmax[col], n, x), n
+
+    d = kernel.descend_at(size, at, max(step_limit - k, 0), peak=peak)
+    if guarded:
+        q, col = grid(d.unresolved)
+        big = q > qmax[col]  # started from n
+        again = d.unresolved[big]
+        rerun = kernel.descend_at(len(again), lambda i: (n_at(again[i]),) * 2, step_limit,
+                                  peak=peak)
+        d.unresolved = np.union1d(d.unresolved[~big], again[rerun.unresolved])
+        if peak:
+            if rerun.peak.dtype == object:  # a peak past int64, from the exact path
+                d.peak = d.peak.astype(object)
+            d.peak[again] = rerun.peak
+    return size, n_at, d
+
+
+def _verify_chunk(args) -> tuple[int, list[int]]:
+    """The count of the n in lo..hi whose residue mod 2^k survives the
+    sieve, and those with no iterate below n within step_limit steps, read
+    from the candidate stream of `_survivor_descent`."""
+    size, n_at, d = _survivor_descent(*args)
+    return size, n_at(d.unresolved).tolist()
 
 
 def verify_range(
@@ -529,9 +529,12 @@ def excursion_records(n_max: int) -> ExcursionReport:
     and the first k iterates of a member of a surviving class are below
     the same bound.  On a block lo..hi with 3^k (hi + 1) <= 2^k min(best,
     8 lo^2), neither can make n a champion or a violation.  So there only
-    the survivors are stepped, started at step k as `verify_range` starts
-    them, and their peak after step k stands for p(n).  Other blocks, the
-    first among them, are stepped in full.
+    the survivors are stepped, streamed by `_survivor_descent` as
+    `verify_range` streams them: one started at step k has its peak after
+    step k stand for p(n), and one started at n itself, where T^k(n) could
+    pass the kernel's GUARD, has p(n) as its peak.  Only the block's n is
+    built, for the checks.  Other blocks, the first among them, are
+    stepped in full.
 
     A bound violation is reported as data, not raised; an n that does not
     drop below itself within DEFAULT_STEP_LIMIT steps raises RuntimeError
@@ -551,7 +554,8 @@ def excursion_records(n_max: int) -> ExcursionReport:
         # <= 2^k min(best, 8 lo^2); a block stepped in full holds 2^14
         hi = min(n_max, lo + (1 << 20) - 1, (min(best, 8 * lo * lo) << k) // 3**k - 1)
         if lo > sieve.max_threshold and DEFAULT_STEP_LIMIT >= k and hi >= lo:
-            n, d = _survivor_descent(lo, hi, sieve, DEFAULT_STEP_LIMIT, peak=True)
+            size, n_at, d = _survivor_descent(lo, hi, sieve, DEFAULT_STEP_LIMIT, peak=True)
+            n = n_at(np.arange(size))
         else:
             hi = min(n_max, lo + (1 << 14) - 1)
             n = np.arange(lo, hi + 1, dtype=np.int64)

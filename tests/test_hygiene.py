@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library alone:
 every name a module imports is referenced somewhere in that module, every
 import sits at module level, every public function, class and method is
-referenced somewhere in the package, its tests or its benchmark, and the
+referenced somewhere in the package, its tests or its benchmark, every
+private function and class is referenced in the package itself, and the
 package promises only what it ships."""
 
 import ast
@@ -118,6 +119,33 @@ REFERENCES = set().union(*(referenced_names(path.read_text())
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_public_names(path):
     assert unreferenced_public_names(path.read_text(), REFERENCES) == []
+
+
+def unreferenced_private_names(source: str, references: set[str]) -> list[str]:
+    """Module-level private functions and classes whose name is not in
+    references: with references drawn from the package alone, a helper
+    only the tests call, such as an oracle a streamed path replaced."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
+            if isinstance(node, defs) and node.name.startswith("_")
+            and node.name not in references]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    module = ("def _used(x):\n    return x\n\ndef _oracle():\n    pass\n\n"
+              "class _Grid:\n    pass\n\nclass _Box:\n    def _seal(self):\n        pass\n\n"
+              "def run():\n    return _used(_Box())\n")
+    refs = referenced_names(module)
+    assert unreferenced_private_names(module, refs) == ["_oracle (line 4)", "_Grid (line 7)"]
+
+
+SRC_REFERENCES = set().union(*(referenced_names(path.read_text())
+                               for path in (ROOT / "src").rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_unreferenced_in_the_package(path):
+    assert unreferenced_private_names(path.read_text(), SRC_REFERENCES) == []
 
 
 MAX_LINE = 100

@@ -13,6 +13,7 @@ from collatzlab.coeffstop import coeff_stop_record, verify_coefficient_conjectur
 from collatzlab.kernel import GUARD, descend, lift, t_step, t_step_int
 from collatzlab.maps import t_map, trajectory
 from collatzlab.stats import (
+    ClassSieve,
     _power_ceiling,
     _verify_chunk,
     below_power_density,
@@ -432,10 +433,48 @@ def test_survivor_start_chunk_near_guard(lo, step_limit):
     assert sorted(fails) == [n for n in members if first_below(n, n, step_limit) is None]
 
 
+def survivor_grid(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
+                peak: bool = False) -> tuple[np.ndarray, kernel.Descent]:
+    """The n in lo..hi whose residue mod 2^k survives the sieve, ascending,
+    and their `Descent` below n: the unresolved indices into n and, with
+    peak, the largest T^j(n) over k < j <= steps.
+
+    n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r),
+    with step_limit - k steps left; an n whose T^k(n) could pass the
+    kernel's GUARD is started at step 0, so its peak runs over 1 <= j <=
+    steps.  Every n is unresolved when step_limit < k.
+
+    The former `stats._survivor_descent`: it builds the span's whole grid
+    of candidates, n and T^k(n), and runs each kind of start as its own
+    `descend`, so it is the oracle of the streamed candidates."""
+    k = sieve.k
+    q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
+    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
+    n = ((q << k) + sieve.survivors).ravel()  # ascending, as the survivors are
+    first, end = np.searchsorted(n, [lo, hi + 1]).tolist()
+    n = n[first:end]
+    if step_limit < k:  # no survivor drops within its first k steps
+        return n, kernel.Descent(np.arange(len(n)))
+    x = (np.minimum(q, qmax) * sieve.pow3 + sieve.images).ravel()[first:end]
+    big = (q > qmax).ravel()[first:end]
+    if not big.any():
+        return n, descend(x, step_limit - k, n, peak=peak)
+    unresolved, peaks = [], np.zeros(len(n), dtype=np.int64) if peak else None
+    for idx, starts, limit in ((np.flatnonzero(~big), x, step_limit - k),
+                               (np.flatnonzero(big), n, step_limit)):
+        d = descend(starts[idx], limit, n[idx], peak=peak)
+        unresolved.append(idx[d.unresolved])
+        if peak:
+            if d.peak.dtype == object:  # a peak past int64, from the exact path
+                peaks = peaks.astype(object)
+            peaks[idx] = d.peak
+    return n, kernel.Descent(np.sort(np.concatenate(unresolved)), peak=peaks)
+
+
 def survivor_chunk_oracle(lo, hi, sieve, step_limit):
-    """(count, failures) of a sieved span from `_survivor_descent`, which
+    """(count, failures) of a sieved span from `survivor_grid`, which
     builds the span's whole grid of candidates."""
-    n, d = stats._survivor_descent(lo, hi, sieve, step_limit)
+    n, d = survivor_grid(lo, hi, sieve, step_limit)
     return len(n), n[d.unresolved].tolist()
 
 
@@ -452,15 +491,47 @@ SPANS = {8: [(2**20, 2**20 + 2**14 - 1), (10**6 + 37, 10**6 + 2**14),
                                        for lo, hi in spans])
 def test_streamed_sieved_span_matches_the_survivor_grid(monkeypatch, k, lo, hi):
     # `_verify_chunk` reads candidate i of a span from divmod(i + first, S);
-    # from step limit k on it must never fall back to the grid of
-    # `_survivor_descent`, and it must give that grid's count and failures
+    # at every step limit it must never build starts for `descend`, and it
+    # must give the grid's count and failures
     sieve = class_sieve(k)
     for step_limit in (0, k - 1, k, 60, 1000):
         want = survivor_chunk_oracle(lo, hi, sieve, step_limit)
-        if step_limit >= k:
-            monkeypatch.setattr(stats, "_survivor_descent", None)  # any call fails
+        monkeypatch.setattr(kernel, "descend", None)  # any call fails
+        monkeypatch.setattr(stats, "descend", None)
         assert _verify_chunk((lo, hi, sieve, step_limit)) == want
         monkeypatch.undo()
+
+
+# spans where T^8(n) = 3^6 q + T^8(r) crosses GUARD, where n itself does,
+# where every n is past it, and k = 16 just below 2^62
+GUARD_SPANS = [(8, lo, lo + 2**12 - 1) for lo in
+               (((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 2**12)]
+GUARD_SPANS.append((16, 2**62 - 2**14 - 77, 2**62 - 1))
+STREAM_CASES = [(k, lo, hi, 0) for k, spans in SPANS.items() for lo, hi in spans]
+STREAM_CASES += [(k, lo, hi, 0) for k, lo, hi in GUARD_SPANS]
+STREAM_CASES += [(16, lo, hi, 10**7) for lo, hi in SPANS[16]]  # every row past qmax.min()
+
+
+@pytest.mark.parametrize("k, lo, hi, guard", STREAM_CASES)
+@pytest.mark.parametrize("peak", [False, True])
+def test_survivor_stream_matches_the_survivor_grid(monkeypatch, k, lo, hi, guard, peak):
+    # the candidates, the unresolved indices and the peaks of the stream,
+    # with its two kinds of start and the rerun from n, are the grid's;
+    # with step_limit < k the grid asks for no peak, and every unresolved
+    # candidate reads 0
+    if guard:
+        monkeypatch.setattr(kernel, "GUARD", guard)
+    sieve = class_sieve(k)
+    for step_limit in (0, k - 1, k, k + 1, 60, 1000):
+        n, want = survivor_grid(lo, hi, sieve, step_limit, peak)
+        size, n_at, d = stats._survivor_descent(lo, hi, sieve, step_limit, peak)
+        assert size == len(n)
+        assert n_at(np.arange(size)).tolist() == n.tolist()
+        assert d.unresolved.tolist() == want.unresolved.tolist()
+        if peak:
+            peaks = np.zeros(size, dtype=np.int64) if want.peak is None else want.peak
+            assert d.peak.dtype == peaks.dtype
+            assert d.peak.tolist() == peaks.tolist()
 
 
 def test_parallel_sieved_spans_match_the_survivor_grid():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzlab import stats
+from collatzlab import kernel, stats
 from collatzlab.kernel import t_step_int
 from collatzlab.maps import ReachedTarget, t_map, trajectory
 from collatzlab.stats import (
@@ -416,17 +416,17 @@ def test_excursion_champions_across_blocks():
 def test_excursion_bound_violation_is_reported(monkeypatch):
     # no n below 1e7 breaks t(n) <= 8 n^2, so plant a peak that does, at a
     # member of a surviving class mod 2^16 in the second 2^19 numbers, which
-    # the sweep steps from T^16(n) with threshold n
+    # the sweep streams from T^16(n) with threshold n, read through at(idx)
     n0 = 600_059
     assert n0 % 2**16 in set(class_sieve(16).survivors.tolist())
-    real = stats.descend
+    real = kernel.descend_at
 
-    def planted(n, step_limit, threshold=None, **kwargs):
-        d = real(n, step_limit, threshold, **kwargs)
-        d.peak[(n if threshold is None else threshold) == n0] = 8 * n0 * n0 + 1
+    def planted(size, at, step_limit, **kwargs):
+        d = real(size, at, step_limit, **kwargs)
+        d.peak[at(np.arange(size))[1] == n0] = 8 * n0 * n0 + 1
         return d
 
-    monkeypatch.setattr(stats, "descend", planted)
+    monkeypatch.setattr(kernel, "descend_at", planted)
     rep = excursion_records(700_000)
     assert rep.bound_violations == [(n0, 8 * n0 * n0 + 1)]
     assert rep.champions[-1] == (n0, 8 * n0 * n0 + 1)
