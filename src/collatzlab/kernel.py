@@ -5,18 +5,22 @@ here, the stopping-time sieve and the 2-adic parity table read it.
 
 Every sweep is a descent: iterate T on a batch of starts until each first
 falls below a threshold (the start itself for the stopping time; Terras
-1976).  `descend` runs it on int64 arrays, by K-step jumps where only the
-verdict is asked for; a start above GUARD, or one whose orbit crosses it,
-is run again from the start by the same single-step loop on Python ints,
-so every number it returns is exact and no caller sees an overflow.
+1976).  A descent is one cascade at three precisions: K-step jumps on
+int64 where only the verdict is asked for, single steps on int64, and
+single steps on object arrays of Python ints.  Each level runs the same
+driver and the same loop body, and hands the starts it cannot settle
+(past a guard, or passed over by a jump) to the next finer level in one
+batch, run again from the start; so every number a descent returns is
+exact and no caller sees an overflow.
 
-`descend_at` is the one driver, chunk then pool.  It reads its starts and
-thresholds through a function at(idx) of an index array, one cache-sized
-chunk of indices at a time, and takes the first 32 steps of each chunk
-(4 jumps, or 32 single steps where peak or kappa is asked for); the rest
-run on the pooled survivors of every chunk.  So a descent holds one chunk,
-the pool and its outputs, whatever the batch size: no batch-long array of
-starts, thresholds or live columns is built.  `descend` gathers from given
+`descend_at` is the entry of the cascade, whose driver runs chunk then
+pool.  It reads its starts and thresholds through a function at(idx) of
+an index array, one cache-sized chunk of indices at a time, and takes the
+first 32 steps of each chunk (4 jumps, or 32 single steps where peak or
+kappa is asked for); the rest run on the pooled survivors of every chunk.
+So a descent holds one chunk, the pool, the indices it hands on and its
+outputs, whatever the batch size: no batch-long array of starts,
+thresholds or live columns is built.  `descend` gathers from given
 arrays, `descend_range` computes first + idx and its threshold, and
 `stats._survivor_descent`, the one stream of sieve survivors (the sieved
 spans of `stats.verify_range` and the pruned blocks of
@@ -92,14 +96,14 @@ def descend(
     from the outset: its orbit may end in the cycle 1, 2, which every even
     K jumps from 2 to 2, never below 2.
 
-    The first _HEAD_JUMPS jumps of a bare call, or the first _HEAD_STEPS
-    single steps of a call with peak or kappa (32 steps either way), run on
-    one chunk of _CHUNK = 2^15 starts at a time, and the survivors of every
-    chunk (about 2% of a naive range, 13% of sieve survivors) are pooled for
-    the rest.  Every output of a start depends on its own orbit alone, and
-    every pooled start has taken the same steps, so the split changes no
-    output.  The working set is one chunk, the pool and the outputs: one
-    bool per start for a bare call, else the columns asked for.
+    The first _HEAD_STEPS = 32 steps (4 jumps of a bare call, else single
+    steps) run on one chunk of _CHUNK = 2^15 starts at a time, and the
+    survivors of every chunk (about 2% of a naive range, 13% of sieve
+    survivors) are pooled for the rest.  Every output of a start depends on
+    its own orbit alone, and every pooled start has taken the same steps,
+    so the split changes no output.  The working set is one chunk, the
+    pool, the indices handed to the next level and the output columns
+    asked for: a bare call has none.
     """
     if threshold is None:
         threshold = starts
@@ -111,21 +115,19 @@ def descend_at(size: int, at: Callable, step_limit: int, *, peak: bool = False,
                kappa: bool = False) -> Descent:
     """`descend` of `size` starts read through at(idx) -> (starts,
     thresholds), two int64 arrays for an int64 array idx of indices in
-    0..size - 1: the chunk-then-pool driver every descent runs on.  at is
-    called once per chunk of _CHUNK indices, and once more on the indices
-    of the starts that are run again (single steps for a bare call, Python
-    ints past GUARD), so no batch-long array of starts or thresholds is
-    built unless at builds it.  The outputs are indexed by idx."""
-    if peak or kappa:
-        return _descend_singles(size, at, step_limit, peak, kappa)
-    return Descent(_descend_jumps(size, at, step_limit))
+    0..size - 1: the entry of the cascade, by jumps for a bare call, else
+    by single steps.  at is called once per chunk of _CHUNK indices, and
+    once more on the indices of the starts the first level hands on, so no
+    batch-long array of starts or thresholds is built unless at builds it.
+    The outputs are indexed by idx."""
+    return _descend(size, at, step_limit, peak, kappa, 1 if peak or kappa else _K)
 
 
 #: starts per batch of `descend_range`.  The batch bounds only the output
 #: columns: `descend_at` computes the starts and thresholds chunk by chunk,
-#: so a bare batch holds one bool per start and a kappa batch its two int64
-#: output columns (32 MiB at 2^21).  At 2^21 each benchmarked range is one
-#: batch (naive verify_range(2^21) and the coefficient bound 238,670).
+#: so a bare batch holds no column per start and a kappa batch its two
+#: int64 output columns (32 MiB at 2^21).  At 2^21 each benchmarked range
+#: is one batch (naive verify_range(2^21) and the coefficient bound 238,670).
 _BLOCK = 1 << 21
 
 
@@ -179,8 +181,7 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
 _K = 8
 _, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
 _CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
-_HEAD_JUMPS = 4  # jumps per chunk before the survivors are pooled
-_HEAD_STEPS = _HEAD_JUMPS * _K  # single steps per chunk before the survivors are pooled
+_HEAD_STEPS = 32  # steps per chunk before the survivors are pooled (4 jumps of a bare call)
 
 
 def _chunk_then_pool(size: int, at: Callable, head: Callable, tail: Callable) -> dict:
@@ -196,50 +197,53 @@ def _chunk_then_pool(size: int, at: Callable, head: Callable, tail: Callable) ->
     return tail({name: np.concatenate([live[name] for live in pool]) for name in pool[0]})
 
 
-def _descend_jumps(size: int, at: Callable, step_limit: int) -> np.ndarray:
-    """The unresolved indices of a bare `descend_at`, by K-step jumps: the
-    first _HEAD_JUMPS on one chunk at a time, the rest on the pooled
-    survivors of every chunk, and single steps for the starts marked in a
-    bool per start."""
-    single = np.zeros(size, dtype=bool)
-    jumps = step_limit // _K
-    head = min(jumps, _HEAD_JUMPS)
+def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool, stride: int,
+             dtype=np.int64) -> Descent:
+    """`descend_at` at one level of the cascade: stride-`_K` jumps or
+    single steps (stride 1) on int64 starts, or single steps on object
+    arrays of Python ints (dtype object), the first _HEAD_STEPS // stride
+    on one chunk at a time and the rest on the pooled survivors of every
+    chunk.  The starts this level cannot settle are collected in `past`
+    and run again from the start, in one batch, by `_descend_steps` at the
+    next finer level: on int64 after jumps, on Python ints after int64
+    single steps.  At the jump level these are the starts with threshold
+    <= 2, those whose iterate passes the jump guard, and those still live
+    after the last jump, whose drop a jump may have passed over; at the
+    int64 single-step level, those whose orbit passes GUARD."""
+    names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
+    out = {name: np.zeros(size, dtype=dtype) for name in names}
+    stop = step_limit // stride
+    head = min(stop, _HEAD_STEPS // stride)
+    past = []  # indices of the starts left to the next level
 
     def first(live):
-        low = live["thr"] <= 2
-        if low.any():
-            single[live["idx"][low]] = True
+        if stride > 1 and (low := live["thr"] <= 2).any():
+            past.append(live["idx"][low])
             live = {name: col[~low] for name, col in live.items()}
-        return _jump(live, head, single)
+        if peak:
+            live["peak"] = np.zeros(len(live["idx"]), dtype=dtype)
+        if kappa:
+            live["a"] = np.zeros(len(live["idx"]), dtype=np.int64)
+            live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
+        return _steps(live, out, 0, head, past, stride)
 
-    live = _chunk_then_pool(size, at, first, lambda live: _jump(live, jumps - head, single))
-    single[live["idx"]] = True  # a jump may have passed over the drop of a start still live
-    rerun = np.flatnonzero(single)
-    v, t = at(rerun)
-    return rerun[_descend_steps(v, step_limit, t).unresolved]
-
-
-def _jump(live: dict, jumps: int, single: np.ndarray) -> dict:
-    """Take up to `jumps` K-step jumps of the live columns {idx, v, thr}
-    and return those still live; v may share memory with thr, so the first
-    operation of a jump makes a new array.  A start whose iterate passes
-    the jump guard is marked in `single` and dropped."""
-    limit = (GUARD // 3**_K) << _K  # a jump from v <= limit stays <= GUARD + 3^K
-    idx, v, t = live["idx"], live["v"], live["thr"]
-    for _ in range(jumps):
-        if not len(idx):
-            break
-        over = v > limit
-        if over.any():
-            single[idx[over]] = True
-            idx, v, t = idx[~over], v[~over], t[~over]
-        low = v & ((1 << _K) - 1)
-        v = v >> _K
-        v *= _JUMP_MUL[low]
-        v += _JUMP_ADD[low]
-        stays = np.flatnonzero(v >= t)  # one index for the three compactions
-        idx, v, t = idx[stays], v[stays], t[stays]
-    return {"idx": idx, "v": v, "thr": t}
+    unresolved = _chunk_then_pool(size, at, first,
+                                  lambda live: _steps(live, out, head, stop, past, stride))["idx"]
+    if stride > 1:  # a jump may have passed over the drop of a start still live
+        past.append(unresolved)
+        unresolved = unresolved[:0]
+    if past:
+        # each sort merges ascending runs, which a stable sort (timsort) does in near linear time
+        idx = np.sort(np.concatenate(past), kind="stable")
+        v, t = at(idx)
+        rerun = _descend_steps(v if stride > 1 else v.astype(object), step_limit, t, peak, kappa)
+        unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])), kind="stable")
+        for name in out:
+            col = getattr(rerun, name)
+            if col.max() > np.iinfo(np.int64).max:  # only a peak gets here
+                out[name] = out[name].astype(object)
+            out[name][idx] = col
+    return Descent(unresolved, **out)
 
 
 def _descend_steps(
@@ -251,63 +255,36 @@ def _descend_steps(
 ) -> Descent:
     """`descend` by single steps of given arrays: int64 ones, or object
     arrays of Python ints for the exact run of the orbits past GUARD."""
-    return _descend_singles(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
-                            peak, kappa, exact=starts.dtype == object)
+    return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
+                    peak, kappa, 1, starts.dtype)
 
 
-def _descend_singles(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
-                     exact: bool = False) -> Descent:
-    """`descend_at` by single steps: the first _HEAD_STEPS on one chunk at a
-    time, the rest on the pooled survivors of every chunk.  A start whose
-    orbit passes GUARD leaves the int64 run; those starts are run again
-    from the start, in one batch, by `_descend_steps` on object arrays of
-    Python ints, whose run has no guard."""
-    dtype = object if exact else np.int64
-    names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
-    out = {name: np.zeros(size, dtype=dtype) for name in names}
-    head = min(step_limit, _HEAD_STEPS)
-    past = []  # indices of orbits that went past GUARD
-
-    def first(live):
-        if peak:
-            live["peak"] = np.zeros(len(live["idx"]), dtype=dtype)
-        if kappa:
-            live["a"] = np.zeros(len(live["idx"]), dtype=np.int64)
-            live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
-        return _steps(live, out, 0, head, past)
-
-    unresolved = _chunk_then_pool(size, at, first,
-                                  lambda live: _steps(live, out, head, step_limit, past))["idx"]
-    if past:
-        idx = np.concatenate(past)
-        v, t = at(idx)
-        rerun = _descend_steps(v.astype(object), step_limit, t, peak, kappa)
-        unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])))
-        for name in out:
-            col = getattr(rerun, name)
-            if col.max() > np.iinfo(np.int64).max:  # only a peak gets here
-                out[name] = out[name].astype(object)
-            out[name][idx] = col
-    return Descent(unresolved, **out)
-
-
-def _steps(live: dict, out: dict, step: int, stop: int, past: list) -> dict:
-    """Take the single steps step + 1..stop of the live columns: idx, v,
-    thr and the state the outputs need (peak; a and kappa).  A start leaves
-    once its iterate falls below its threshold, and its outputs are written
-    to the out columns at its idx.  An int64 iterate past GUARD leaves too,
-    its idx appended to past.  Returns the columns still live at stop; a
-    bare call costs a step, a compare, a compaction and a guard test per
-    step."""
+def _steps(live: dict, out: dict, step: int, stop: int, past: list, stride: int) -> dict:
+    """Take the steps step + 1..stop of the live columns: idx, v, thr and
+    the state the outputs need (peak; a and kappa).  A step is one K-step
+    jump for stride _K, else one T-step.  A start leaves once its iterate
+    falls below its threshold, and its outputs are written to the out
+    columns at its idx.  An int64 iterate past the guard leaves too, its
+    idx appended to past: GUARD for a T-step, (GUARD // 3^K) << K for a
+    jump, from which a jump stays at most GUARD + 3^K < 2^63.  Returns the
+    columns still live at stop; a bare call costs a step, a compare, a
+    compaction and a guard test per step."""
+    guard = GUARD if stride == 1 else (GUARD // 3**_K) << _K
     exact = live["v"].dtype == object
     amax, p3 = -1, 1  # largest a with 3^a < 2^step, and 3^(amax + 1), caught up at each step
     while len(live["idx"]):
-        if not exact and (big := live["v"] > GUARD).any():
+        if not exact and (big := live["v"] > guard).any():
             past.append(live["idx"][big])
             live = {name: col[~big] for name, col in live.items()}
         if step == stop:
             break
-        v, odd = t_step(live["v"])
+        if stride == 1:
+            v, odd = t_step(live["v"])
+        else:  # the first operation makes a new array: v may share memory with thr
+            low = live["v"] & ((1 << _K) - 1)
+            v = live["v"] >> _K
+            v *= _JUMP_MUL[low]
+            v += _JUMP_ADD[low]
         live["v"] = v
         step += 1
         if "peak" in live:

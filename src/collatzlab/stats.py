@@ -336,7 +336,7 @@ def verify_range(
         sieve = class_sieve(sieve_k)
         fractions = {j: str(sieve.survivor_fraction(j)) for j in range(1, sieve_k + 1)}
         cutoff = min(sieve.max_threshold, n_max)
-    failures: list[int] = []
+    failures: list[int] = []  # ascending: batches and spans run in range order
     for first, d in kernel.descend_range(2, cutoff, step_limit):
         failures += (first + d.unresolved).tolist()
     iterated = max(cutoff - 1, 0)
@@ -352,7 +352,6 @@ def verify_range(
         for cnt, res in chunks:
             iterated += cnt
             failures += res
-    failures = sorted(set(failures))
     return VerificationReport(
         n_max=n_max,
         mode=mode if mode == "naive" else f"sieve({sieve_k})",

@@ -2,8 +2,8 @@
 every name a module imports is referenced somewhere in that module, every
 import sits at module level, every public function, class and method is
 referenced somewhere in the package, its tests or its benchmark, every
-private function and class is referenced in the package itself, and the
-package promises only what it ships."""
+private function, class and module-level assignment is referenced in the
+package itself, and the package promises only what it ships."""
 
 import ast
 import gc
@@ -69,11 +69,11 @@ def test_no_nested_imports(path):
 
 
 def referenced_names(source: str) -> set[str]:
-    """Every name a source refers to: Name ids, Attribute attrs and the
-    parts of imported names."""
+    """Every name a source refers to: Name ids other than assignment
+    targets, Attribute attrs and the parts of imported names."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -122,13 +122,23 @@ def test_no_unreferenced_public_names(path):
 
 
 def unreferenced_private_names(source: str, references: set[str]) -> list[str]:
-    """Module-level private functions and classes whose name is not in
-    references: with references drawn from the package alone, a helper
-    only the tests call, such as an oracle a streamed path replaced."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
-            if isinstance(node, defs) and node.name.startswith("_")
-            and node.name not in references]
+    """Module-level private functions, classes and assigned names (bar `_`)
+    whose name is not in references: with references drawn from the
+    package alone, a helper only the tests call, such as an oracle a
+    streamed path replaced, or a constant a merge left behind."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.startswith("_") and name != "_" and name not in references]
+    return found
 
 
 def test_scan_finds_an_unreferenced_private_name():
@@ -137,6 +147,14 @@ def test_scan_finds_an_unreferenced_private_name():
               "def run():\n    return _used(_Box())\n")
     refs = referenced_names(module)
     assert unreferenced_private_names(module, refs) == ["_oracle (line 4)", "_Grid (line 7)"]
+
+
+def test_scan_finds_an_unreferenced_private_constant():
+    # an assignment is no reference to the name it binds; `_` is skipped
+    module = ("_USED = 4\n_LEFT = 4\n_, _ADD, _MUL, _ = range(4)\n_TABLE: dict = {}\n"
+              "_STEPS = _USED * 8\n\ndef run():\n    return _STEPS + _MUL + _TABLE[0]\n")
+    refs = referenced_names(module)
+    assert unreferenced_private_names(module, refs) == ["_LEFT (line 2)", "_ADD (line 3)"]
 
 
 SRC_REFERENCES = set().union(*(referenced_names(path.read_text())

@@ -31,6 +31,8 @@ def _reports():
     return [
         verify_range(2 * 10**4, mode="naive").to_dict(),
         verify_range(2 * 10**4, sieve_k=8).to_dict(),
+        verify_range(2 * 10**4, mode="naive", step_limit=20).to_dict(),
+        verify_range(2 * 10**4, sieve_k=8, step_limit=20).to_dict(),
         excursion_records(2 * 10**4).to_dict(),
         below_power_density(Fraction(4, 5), 2 * 10**4),
         verify_coefficient_conjecture(60).to_dict(),
@@ -386,14 +388,15 @@ def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
 
 
 def test_bare_descent_keeps_no_batch_long_column():
-    # a bare descent holds one chunk, the pooled survivors and one bool per
-    # start: its traced peak stays below one int64 column of the batch
+    # a bare descent holds one chunk, the pooled survivors and the indices
+    # it hands to single steps, with no column per start: its traced peak
+    # stays well below one int64 column of the batch (16 MiB)
     starts = np.arange(2, 2**21 + 2)
     tracemalloc.start()
     descend(starts, 10**5)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 8 * 2**21
+    assert peak < 5 * 2**20
 
 
 def test_naive_sweep_builds_no_batch_long_array():
