@@ -230,13 +230,13 @@ def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     stopping time differs (vectorized, exact), by one loop over
     `kernel.descend_range`, which cuts 2..n_max into batches."""
     bad: list[int] = []
-    for first, d in kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
+    for _, n_at, d in kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
         if len(d.unresolved):
-            raise RuntimeError(f"coefficient sweep: n={first + d.unresolved[0]} did not drop "
-                               f"below itself within {DEFAULT_STEP_LIMIT} steps")
+            raise RuntimeError(f"coefficient sweep: n={n_at(d.unresolved[:1])[0]} did not "
+                               f"drop below itself within {DEFAULT_STEP_LIMIT} steps")
         # kappa <= sigma always; disagreement iff kappa came strictly earlier
         late = (d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)
-        bad.extend((first + late.nonzero()[0]).tolist())
+        bad.extend(n_at(late.nonzero()[0]).tolist())
     return bad
 
 

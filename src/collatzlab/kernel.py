@@ -21,15 +21,19 @@ kappa is asked for); the rest run on the pooled survivors of every chunk.
 So a descent holds one chunk, the pool, the indices it hands on and its
 outputs, whatever the batch size: no batch-long array of starts,
 thresholds or live columns is built.  `descend` gathers from given
-arrays, `descend_range` computes first + idx and its threshold, and
-`stats._survivor_descent`, the one stream of sieve survivors (the sieved
-spans of `stats.verify_range` and the pruned blocks of
-`stats.excursion_records`), computes each candidate from its index.
+arrays, and `descend_range` computes each candidate of a range, its
+start and its threshold from the candidate's index.
 
-`descend_range` is the one place where a range of starts lo..hi is cut
-into batches: the naive sweep of `stats.verify_range`,
-`stats.below_power_density` and the coefficient sweep of `coeffstop` each
-run one loop over it.
+`descend_range` is the one range reader: every sweep over a range lo..hi
+of starts, sieved or not, is one loop over its batches, and no other
+module calls `descend` or `descend_at`.  Without a sieve every n is a
+candidate (the naive span of `stats.verify_range`, the full blocks of
+`stats.excursion_records`, `stats.below_power_density` and the
+coefficient sweep of `coeffstop`).  With a `stats.ClassSieve` mod 2^k
+the candidates are the members n = 2^k q + r of its surviving classes
+(the sieved spans and the pruned blocks), started at step k from
+T^k(n) = 3^a(r) q + T^k(r), the identity of the jump table, or at n
+itself in a range where some T^k(n) could pass GUARD.
 """
 
 from __future__ import annotations
@@ -123,27 +127,72 @@ def descend_at(size: int, at: Callable, step_limit: int, *, peak: bool = False,
     return _descend(size, at, step_limit, peak, kappa, 1 if peak or kappa else _K)
 
 
-#: starts per batch of `descend_range`.  The batch bounds only the output
-#: columns: `descend_at` computes the starts and thresholds chunk by chunk,
-#: so a bare batch holds no column per start and a kappa batch its two
-#: int64 output columns (32 MiB at 2^21).  At 2^21 each benchmarked range
-#: is one batch (naive verify_range(2^21) and the coefficient bound 238,670).
+#: candidates per batch of `descend_range`.  The batch bounds only the
+#: output columns: `descend_at` computes the starts and thresholds chunk by
+#: chunk, so a bare batch holds no column per start and a kappa batch its
+#: two int64 output columns (32 MiB at 2^21).  At 2^21 each benchmarked
+#: range is one batch (naive verify_range(2^21) and the coefficient bound
+#: 238,670), as is every sieved span of 2^22 numbers up to k = 21.
 _BLOCK = 1 << 21
 
 
 def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
-                  kappa: bool = False) -> Iterator[tuple[int, Descent]]:
-    """Yield (first, descend(n, step_limit, threshold(n), kappa=kappa)) for
-    the int64 starts n of lo..hi, in ascending batches of _BLOCK numbers
-    from first; a batch's `Descent` is indexed by n - first.  threshold maps
-    an array of starts to their thresholds elementwise, and None means n
-    itself.  The starts and thresholds are computed chunk by chunk, never
-    for a whole batch.  An empty range (lo > hi) yields nothing."""
-    for first in range(lo, hi + 1, _BLOCK):
-        def at(idx, first=first):
-            n = first + idx
-            return n, n if threshold is None else threshold(n)
-        yield first, descend_at(min(_BLOCK, hi + 1 - first), at, step_limit, kappa=kappa)
+                  sieve=None, peak: bool = False,
+                  kappa: bool = False) -> Iterator[tuple[int, Callable, Descent]]:
+    """Yield (size, n_at, d) for the candidates n in lo..hi, in ascending
+    batches of up to _BLOCK: n_at(idx) gives the candidates at the int64
+    indices idx into the batch, and d = descend(n, step_limit, threshold(n),
+    peak=peak, kappa=kappa) is indexed like them.  threshold maps an array
+    of candidates to their thresholds elementwise, and None means n itself.
+    Without a sieve every n is a candidate.  With one, a `stats.ClassSieve`
+    mod 2^k, the candidates are the n = 2^k q + r with r one of its S
+    survivors, the rest being certified by the sieve; a member of a
+    surviving class has no iterate below n (nor below a threshold at most
+    n) in its first k steps (see `stats.verify_range`).  Candidate i of the
+    range sits at row q and column c of the (q, r) grid, divmod(i + first,
+    S) from the row lo >> k, first the survivors of that row below lo.  A
+    range without a sieve is the one class mod 2^0, with no division.
+
+    Every candidate starts at step k, from T^k(n) = 3^a(r) q + T^k(r) (the
+    identity of the jump table), with step_limit - k steps: the verdict of
+    step_limit steps from n, and a peak over k < j <= steps.  In a range
+    where some T^k(n) could pass GUARD (hi >> k above the least q with
+    T^k(n) <= GUARD), every candidate starts at n itself with step_limit
+    steps, and its peak runs over 1 <= j <= steps.  With step_limit < k
+    every candidate is unresolved.  kappa counts from step 0, so it takes
+    no sieve.  The candidates, starts and thresholds are computed chunk by
+    chunk, never for a whole batch.  An empty range yields nothing."""
+    if sieve is None:
+        k, r, images, pow3 = 0, *(np.array([x], dtype=np.int64) for x in (0, 0, 1))
+    elif kappa:
+        raise ValueError("kappa counts from step 0 and takes no sieve")
+    else:
+        k, r, images, pow3 = sieve.k, sieve.survivors, sieve.images, sieve.pow3
+    S, mask = len(r), (1 << k) - 1
+    q0, first = lo >> k, int(np.searchsorted(r, lo & mask))
+    size = ((hi >> k) - q0) * S + int(np.searchsorted(r, hi & mask, side="right")) - first
+    from_n = hi >> k > ((GUARD - images) // pow3).min()  # some T^k(n) could pass GUARD
+    limit = step_limit if from_n else max(step_limit - k, 0)
+
+    def grid(idx, b):  # the row, column and candidate of the indices idx of batch b
+        if S == 1:  # no division: the row is the index, from q0 + first
+            q, col = idx + (q0 + first + b), 0
+        else:
+            col = idx + (first + b)
+            q = col // S
+            col -= q * S  # the divmod, by a floor division numpy runs far faster
+            q += q0
+        return q, col, (q << k) + r[col] if k else q
+
+    for b in range(0, size, _BLOCK):
+        def at(idx, b=b):
+            q, col, n = grid(idx, b)
+            x = n if from_n or not k else q * pow3[col] + images[col]
+            return x, n if threshold is None else threshold(n)
+
+        count = min(_BLOCK, size - b)
+        d = descend_at(count, at, limit, peak=peak, kappa=kappa)
+        yield count, lambda idx, b=b: grid(idx, b)[2], d
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:

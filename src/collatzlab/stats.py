@@ -5,16 +5,15 @@ T-steps ((3x+1)/2 merged form); height is measured in C-steps (3x+1 split
 form); gamma = total stopping time / ln n; the excursion t(n) is the
 largest iterate T^k(n) over k >= 1.
 
-The sweeps run on `kernel.descend_at`, which reads its starts chunk by
-chunk: int64 numpy arrays, with any orbit that crosses the int64 guard
-run in exact Python ints, so every reported number is the result of
-exact arithmetic.  A sweep over a whole range of starts (naive
-verify_range, below_power_density) is one loop over
-`kernel.descend_range`, the one place that cuts a range into batches.
-The sieved spans of verify_range and the pruned blocks of
-excursion_records read the sieve survivors through one stream,
-`_survivor_descent`, which computes each candidate and its start from
-the candidate's index, so neither builds a span-long array of starts.
+The sweeps read their ranges through `kernel.descend_range`, the one
+range reader, which computes each candidate and its start from the
+candidate's index and steps them chunk by chunk on int64 numpy arrays,
+with any orbit that crosses the int64 guard run in exact Python ints, so
+every reported number is the result of exact arithmetic.  Every range
+sweep is one loop over it: the spans of verify_range, naive and sieved,
+the blocks of excursion_records, full and pruned, and
+below_power_density.  A sieved range reads only the members of the
+classes the sieve keeps, and no sweep builds a span-long array of starts.
 The per-integer records (stats_record, and height_and_total_stop,
 equal_height_tuples and sweep_csv_rows through it) read one `maps._walk`
 path each, under the walker's step and magnitude limits.
@@ -39,12 +38,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import kernel
-from .kernel import descend
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 SIEVE_K_MAX = 26
@@ -225,75 +223,17 @@ class VerificationReport:
         }
 
 
-def _survivor_descent(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
-                      peak: bool = False) -> tuple[int, Callable, kernel.Descent]:
-    """The n in lo..hi whose residue mod 2^k survives the sieve, streamed
-    by index: (size, n_at, d), with n_at(idx) the candidates at the int64
-    indices idx into the ascending candidates and d their `Descent` below
-    n: the unresolved indices and, with peak, the largest iterate of n.
-
-    The candidates are n = 2^k q + r, r one of the S survivors, from the
-    row q0 = lo >> k of the (q, r) grid on: candidate idx is at row and
-    column divmod(idx + first, S), first the survivors of row q0 below lo.
-    `kernel.descend_at` reads each start and its threshold n from the
-    index, one chunk at a time, so no span-long array is built.
-
-    A candidate has one of two starts.  It starts at step k, from T^k(n) =
-    3^a(r) q + T^k(r), with step_limit - k steps; it cannot drop in its
-    first k steps (see `verify_range`), so this is the verdict of
-    step_limit steps from n, and its peak runs over k < j <= steps.  Where
-    T^k(n) could pass the kernel's GUARD (q > qmax(r)), it starts at n
-    itself, tested only in a span whose top row passes the least qmax;
-    such a candidate still unresolved is run again from n with the full
-    step_limit, and its verdict and peak, over 1 <= j <= steps, replace
-    those of the first run.  With step_limit < k every candidate is
-    unresolved."""
-    k, r = sieve.k, sieve.survivors
-    q0, mask = lo >> k, (1 << k) - 1
-    first = int(np.searchsorted(r, lo & mask))
-    size = ((hi >> k) - q0) * len(r) + int(np.searchsorted(r, hi & mask, side="right")) - first
-    qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
-    guarded = hi >> k > qmax.min()
-
-    def grid(idx):
-        col = idx + first
-        q = col // len(r)
-        col -= q * len(r)  # the divmod, by a floor division numpy runs far faster
-        return q + q0, col
-
-    def n_at(idx):
-        q, col = grid(idx)
-        return (q << k) + r[col]
-
-    def at(idx):
-        q, col = grid(idx)
-        n = (q << k) + r[col]
-        if not guarded:
-            return q * sieve.pow3[col] + sieve.images[col], n
-        x = np.minimum(q, qmax[col]) * sieve.pow3[col] + sieve.images[col]
-        return np.where(q > qmax[col], n, x), n
-
-    d = kernel.descend_at(size, at, max(step_limit - k, 0), peak=peak)
-    if guarded:
-        q, col = grid(d.unresolved)
-        big = q > qmax[col]  # started from n
-        again = d.unresolved[big]
-        rerun = kernel.descend_at(len(again), lambda i: (n_at(again[i]),) * 2, step_limit,
-                                  peak=peak)
-        d.unresolved = np.union1d(d.unresolved[~big], again[rerun.unresolved])
-        if peak:
-            if rerun.peak.dtype == object:  # a peak past int64, from the exact path
-                d.peak = d.peak.astype(object)
-            d.peak[again] = rerun.peak
-    return size, n_at, d
-
-
 def _verify_chunk(args) -> tuple[int, list[int]]:
-    """The count of the n in lo..hi whose residue mod 2^k survives the
-    sieve, and those with no iterate below n within step_limit steps, read
-    from the candidate stream of `_survivor_descent`."""
-    size, n_at, d = _survivor_descent(*args)
-    return size, n_at(d.unresolved).tolist()
+    """The count of the candidates in lo..hi (every n without a sieve,
+    else the n whose residue mod 2^k survives it), and those with no
+    iterate below n within step_limit steps, read from
+    `kernel.descend_range`."""
+    lo, hi, sieve, step_limit = args
+    count, failures = 0, []
+    for size, n_at, d in kernel.descend_range(lo, hi, step_limit, sieve=sieve):
+        count += size
+        failures += n_at(d.unresolved).tolist()
+    return count, failures
 
 
 def verify_range(
@@ -304,17 +244,21 @@ def verify_range(
     threads: int = 1,
 ) -> VerificationReport:
     """Confirm that every 2 <= n <= n_max has some iterate below itself
-    (hence, by induction, reaches 1); an n still running after step_limit
-    steps is a failure.
+    (hence, by induction, reaches 1); an n that is stepped and still
+    running after step_limit steps is a failure.
 
     In sieve mode, residues mod 2^sieve_k with a guaranteed early drop are
     skipped: every member above the sieve's max_threshold of an eliminated
     class drops below itself, so only 2..naive_cutoff, with naive_cutoff =
     min(max_threshold, n_max), is swept naively, and above it only members
-    of surviving classes are iterated.  The sieve loses no soundness.
-    threads > 1 runs only the sieved spans in parallel processes; naive
-    mode and the naive part of sieve mode run serially, through
-    `kernel.descend_range`.
+    of surviving classes are iterated.  The sieve loses no soundness.  The
+    members of eliminated classes above the cutoff are certified by the
+    sieve, not by the step limit, so with step_limit < sieve_k they are no
+    failures: verify_range(10**6, sieve_k=16, step_limit=10) lists 32,256
+    failures, where naive mode lists 62,500.  The naive part and each
+    sieved span of max(2^22, 2^sieve_k) numbers is one loop over
+    `kernel.descend_range`, and threads > 1 runs every span, the naive one
+    included, in parallel processes.
 
     A member n of a surviving class r mod 2^sieve_k has no iterate below n
     in its first k = sieve_k steps: T^j(n) = (3^a_j n + B_j) / 2^j with
@@ -329,29 +273,23 @@ def verify_range(
     if mode not in ("naive", "sieve"):
         raise ValueError("mode must be 'naive' or 'sieve'")
 
-    fractions: dict[int, str] = {}
-    if mode == "naive":
-        cutoff = n_max
+    sieve = None if mode == "naive" else class_sieve(sieve_k)
+    fractions = {} if sieve is None else {j: str(sieve.survivor_fraction(j))
+                                          for j in range(1, sieve_k + 1)}
+    cutoff = n_max if sieve is None else min(sieve.max_threshold, n_max)
+    span = 1 << max(22, sieve_k)
+    spans = [(2, cutoff, None, step_limit)] + [
+        (lo, min(lo + span - 1, n_max), sieve, step_limit)
+        for lo in range(max(cutoff, 1) + 1, n_max + 1, span)]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(_verify_chunk, spans))
     else:
-        sieve = class_sieve(sieve_k)
-        fractions = {j: str(sieve.survivor_fraction(j)) for j in range(1, sieve_k + 1)}
-        cutoff = min(sieve.max_threshold, n_max)
-    failures: list[int] = []  # ascending: batches and spans run in range order
-    for first, d in kernel.descend_range(2, cutoff, step_limit):
-        failures += (first + d.unresolved).tolist()
-    iterated = max(cutoff - 1, 0)
-    if cutoff < n_max:
-        span = max(1 << 22, 1 << sieve_k)
-        spans = [(lo, min(lo + span - 1, n_max), sieve, step_limit)
-                 for lo in range(max(cutoff, 1) + 1, n_max + 1, span)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(_verify_chunk, spans))
-        else:
-            chunks = [_verify_chunk(args) for args in spans]
-        for cnt, res in chunks:
-            iterated += cnt
-            failures += res
+        chunks = [_verify_chunk(args) for args in spans]
+    iterated, failures = 0, []  # failures ascend: the spans run in range order
+    for cnt, res in chunks:
+        iterated += cnt
+        failures += res
     return VerificationReport(
         n_max=n_max,
         mode=mode if mode == "naive" else f"sieve({sieve_k})",
@@ -394,7 +332,7 @@ def below_power_density(
     if n_max < 10**3:
         raise ValueError("n_max must be >= 1000")
     ranged = kernel.descend_range(2, n_max, step_limit, lambda n: _power_ceiling(n, beta))
-    unresolved = sum(len(d.unresolved) for _, d in ranged)
+    unresolved = sum(len(d.unresolved) for _, _, d in ranged)
     return Fraction(n_max - 1 - unresolved, n_max - 1)
 
 
@@ -523,17 +461,18 @@ def excursion_records(n_max: int) -> ExcursionReport:
 
     Pruning.  T(x) + 1 <= 3(x + 1)/2, so T^i(n) < (3/2)^i (n + 1).  Above
     the max_threshold of the sieve mod 2^k, a member n of a class
-    eliminated at step j <= k drops by step j (within the step limit when
-    it is at least k), so p(n) < (3/2)^k (n + 1);
+    eliminated at step j <= k drops by step j, so p(n) < (3/2)^k (n + 1);
     and the first k iterates of a member of a surviving class are below
     the same bound.  On a block lo..hi with 3^k (hi + 1) <= 2^k min(best,
     8 lo^2), neither can make n a champion or a violation.  So there only
-    the survivors are stepped, streamed by `_survivor_descent` as
-    `verify_range` streams them: one started at step k has its peak after
-    step k stand for p(n), and one started at n itself, where T^k(n) could
-    pass the kernel's GUARD, has p(n) as its peak.  Only the block's n is
-    built, for the checks.  Other blocks, the first among them, are
-    stepped in full.
+    the survivors are stepped.  Each block is one loop over
+    `kernel.descend_range`, the one range reader, with two sieves: the
+    sieve mod 2^16 on a pruned block, and none on a block stepped in full
+    (2^14 numbers, the first block among them).  A survivor started at
+    step k has its peak after step k stand for p(n); in a block where some
+    T^k(n) could pass the kernel's GUARD every candidate starts at n
+    itself, and its peak is p(n).  Only the block's n is built, for the
+    checks.
 
     A bound violation is reported as data, not raised; an n that does not
     drop below itself within DEFAULT_STEP_LIMIT steps raises RuntimeError
@@ -552,23 +491,22 @@ def excursion_records(n_max: int) -> ExcursionReport:
         # a pruned block is the largest, up to 2^20 numbers, with 3^k (hi + 1)
         # <= 2^k min(best, 8 lo^2); a block stepped in full holds 2^14
         hi = min(n_max, lo + (1 << 20) - 1, (min(best, 8 * lo * lo) << k) // 3**k - 1)
-        if lo > sieve.max_threshold and DEFAULT_STEP_LIMIT >= k and hi >= lo:
-            size, n_at, d = _survivor_descent(lo, hi, sieve, DEFAULT_STEP_LIMIT, peak=True)
-            n = n_at(np.arange(size))
-        else:
+        pruned = lo > sieve.max_threshold and hi >= lo
+        if not pruned:
             hi = min(n_max, lo + (1 << 14) - 1)
-            n = np.arange(lo, hi + 1, dtype=np.int64)
-            d = descend(n, DEFAULT_STEP_LIMIT, peak=True)
-        if len(d.unresolved):
-            raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
-                               f"below itself within {DEFAULT_STEP_LIMIT} steps")
-        p = d.peak
-        over = np.flatnonzero(p > 8 * n * n)
-        violations += [(int(n[i]), int(p[i])) for i in over]
-        for i in np.flatnonzero(p == np.maximum.accumulate(p)):
-            if p[i] > best:
-                best = int(p[i])
-                champs.append((int(n[i]), best))
+        for size, n_at, d in kernel.descend_range(lo, hi, DEFAULT_STEP_LIMIT,
+                                                  sieve=sieve if pruned else None, peak=True):
+            n = n_at(np.arange(size))
+            if len(d.unresolved):
+                raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
+                                   f"below itself within {DEFAULT_STEP_LIMIT} steps")
+            p = d.peak
+            over = np.flatnonzero(p > 8 * n * n)
+            violations += [(int(n[i]), int(p[i])) for i in over]
+            for i in np.flatnonzero(p == np.maximum.accumulate(p)):
+                if p[i] > best:
+                    best = int(p[i])
+                    champs.append((int(n[i]), best))
         lo = hi + 1
     return ExcursionReport(n_max, champs, violations)
 

@@ -166,6 +166,26 @@ def test_no_private_names_unreferenced_in_the_package(path):
     assert unreferenced_private_names(path.read_text(), SRC_REFERENCES) == []
 
 
+def descent_references(source: str) -> list[str]:
+    """The descent entries of `kernel` that a source refers to: outside
+    the kernel, every sweep reads its range through `kernel.descend_range`
+    alone, so no other module names `descend` or `descend_at`."""
+    return sorted(referenced_names(source) & {"descend", "descend_at"})
+
+
+def test_scan_finds_a_descent_outside_the_range_reader():
+    source = ("from . import kernel\nfrom .kernel import descend\n\n"
+              "def sweep(lo, hi, at):\n    d = kernel.descend_at(hi - lo + 1, at, 9)\n"
+              "    return descend(d.unresolved, 9), kernel.descend_range(lo, hi, 9)\n")
+    assert descent_references(source) == ["descend", "descend_at"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernel.py"],
+                         ids=lambda p: p.name)
+def test_only_the_kernel_names_a_descent(path):
+    assert descent_references(path.read_text()) == []
+
+
 MAX_LINE = 100
 
 

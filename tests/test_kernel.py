@@ -55,15 +55,16 @@ def record_exact_starts(monkeypatch):
 
 
 def test_multi_block_reports_match_one_block(monkeypatch):
-    # with 64-number batches the naive sweep, below_power_density and the
-    # coefficient sweep (2..281, 5 batches) each run many batches of
-    # `descend_range`, and every report is the one a single batch gives
+    # with 64-candidate batches every sweep (naive and sieved spans,
+    # excursion blocks, below_power_density and the coefficient sweep,
+    # 2..281 in 5 batches) runs many batches of `descend_range`, and every
+    # report is the one a single batch gives
     want = _reports()
     sizes = []
     driver = kernel.descend_at
 
     def counted(size, at, *args, **kwargs):
-        if at.__qualname__.startswith("descend_range."):  # a batch, not a sieved span
+        if at.__qualname__.startswith("descend_range."):  # a batch of `descend_range`
             sizes.append(size)
         return driver(size, at, *args, **kwargs)
 
@@ -73,41 +74,106 @@ def test_multi_block_reports_match_one_block(monkeypatch):
     assert max(sizes) == 64 and len(sizes) > 600
 
 
-@pytest.mark.parametrize("lo, hi", [(10, 9), (27, 27), (2, 300), (63, 193),
-                                    (GUARD - 40, GUARD + 40)])
-@pytest.mark.parametrize("threshold, flags", [
+# whole rows of q, a partial first row, a partial last row, both, and one
+# partial row; the k = 16 spans hold five and three rows of q
+SPANS = {8: [(2**20, 2**20 + 2**14 - 1), (10**6 + 37, 10**6 + 2**14),
+             (10**6, 10**6 + 2**14 + 101), (10**6 + 37, 10**6 + 2**14 + 101),
+             (10**6 + 37, 10**6 + 200)],
+         16: [(3 * 2**16 + 1234, 8 * 2**16 - 1), (3 * 2**16, 5 * 2**16 + 4321),
+              (10**7 + 77, 10**7 + 3 * 2**16 + 999)]}
+
+
+# spans where T^8(n) = 3^6 q + T^8(r) crosses GUARD, where n itself does,
+# where every n is past it, and k = 16 just below 2^62
+GUARD_SPANS = [(8, lo, lo + 2**12 - 1) for lo in
+               (((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 2**12)]
+GUARD_SPANS.append((16, 2**62 - 2**14 - 77, 2**62 - 1))
+NAIVE_RANGES = [(10, 9), (27, 27), (2, 300), (63, 193), (GUARD - 40, GUARD + 40)]
+RANGE_FLAGS = [
     (None, {}),
     (lambda n: n // 3, {}),
     (lambda n: _power_ceiling(n, Fraction(1, 2)), {}),
     (None, {"kappa": True}),
     (lambda n: n // 3, {"kappa": True}),
-])
-def test_descend_range_matches_one_descent(monkeypatch, lo, hi, threshold, flags):
-    # 64-number batches, so 63..193 crosses batch edges and 2..300 runs
-    # five batches; GUARD - 40..GUARD + 40 takes the exact path.  Each batch
-    # is yielded as (first, Descent), its Descent indexed by n - first
+]
+SIEVED_RANGES = [(k, lo, hi) for k, spans in SPANS.items() for lo, hi in spans] + GUARD_SPANS
+
+
+def starts_from_n(k, hi):
+    """Whether `descend_range` starts every candidate of a range up to hi
+    sieved mod 2^k at n itself: some T^k(n) could pass the kernel's GUARD."""
+    sieve = class_sieve(k)
+    return hi >> k > ((kernel.GUARD - sieve.images) // sieve.pow3).min()
+
+
+def joined(batches):
+    """The candidates of a `descend_range` stream, their unresolved
+    indices and their output columns, each joined over the batches."""
+    ns, unresolved, cols, base = [], [], {}, 0
+    for size, n_at, d in batches:
+        ns.append(n_at(np.arange(size)))
+        unresolved.append(base + d.unresolved)
+        for name in ("steps", "drop", "peak", "kappa"):
+            cols.setdefault(name, []).append(getattr(d, name))
+        base += size
+    cols = {name: None if col[0] is None else np.concatenate(col) for name, col in cols.items()}
+    return np.concatenate(ns), np.concatenate(unresolved), cols
+
+
+RANGE_CASES = [  # the unsieved ids read threshold-flags-lo-hi
+    pytest.param(None, lo, hi, threshold, flags,
+                 id=f"{'None' if threshold is None else '<lambda>'}-flags{i}-{lo}-{hi}")
+    for lo, hi in NAIVE_RANGES for i, (threshold, flags) in enumerate(RANGE_FLAGS)]
+RANGE_CASES += [pytest.param(k, lo, hi, None, flags,
+                             id=f"sieve{k}-{'peak' if flags else 'bare'}-{lo}-{hi}")
+                for k, lo, hi in SIEVED_RANGES for flags in ({}, {"peak": True})]
+RANGE_CASES.append(pytest.param(8, 10**6 + 37, 10**6 + 200, None, {"kappa": True},
+                                id="sieve8-kappa-refused"))
+
+
+@pytest.mark.parametrize("k, lo, hi, threshold, flags", RANGE_CASES)
+def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, flags):
+    # 64-candidate batches, so 63..193 crosses batch edges, 2..300 runs
+    # five batches and every sieved span runs many; GUARD - 40..GUARD + 40
+    # takes the exact path.  Each batch is yielded as (size, n_at,
+    # Descent), its Descent indexed like n_at(arange(size)).  A sieved
+    # range gives the candidates and verdicts of `survivor_grid`, and its
+    # outputs where no start passes GUARD, else those of a descent from n
+    # (peaks over 1 <= j <= steps); kappa counts from step 0, so a sieve
+    # refuses it
     monkeypatch.setattr(kernel, "_BLOCK", 64)
-    got = list(kernel.descend_range(lo, hi, 1000, threshold, **flags))
+    sieve = None if k is None else class_sieve(k)
+    if sieve is not None and flags.get("kappa"):
+        with pytest.raises(ValueError, match="kappa"):
+            next(kernel.descend_range(lo, hi, 1000, sieve=sieve, kappa=True))
+        return
+    got = list(kernel.descend_range(lo, hi, 1000, threshold, sieve=sieve, **flags))
     if lo > hi:
         assert got == []
         return
-    firsts = [first for first, _ in got]
-    assert firsts == list(range(lo, hi + 1, 64))
-    sizes = np.diff(firsts + [hi + 1]).tolist()
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
-    unresolved = np.concatenate([first - lo + d.unresolved for first, d in got])
+    sizes = [size for size, _, _ in got]
+    assert set(sizes[:-1]) <= {64} and 0 < sizes[-1] <= 64
+    n, unresolved, cols = joined(got)
+    if sieve is None:
+        assert n.tolist() == list(range(lo, hi + 1))
+        want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
+    else:
+        grid_n, grid = survivor_grid(lo, hi, sieve, 1000, **flags)
+        assert n.tolist() == grid_n.tolist()
+        from_n = (k, lo, hi) in GUARD_SPANS
+        assert starts_from_n(k, hi) == from_n
+        want = descend(n, 1000, n, **flags) if from_n else grid
+        assert want.unresolved.tolist() == grid.unresolved.tolist()
     assert unresolved.dtype == want.unresolved.dtype
     assert unresolved.tolist() == want.unresolved.tolist()
-    for name in ("steps", "drop", "peak", "kappa"):
-        col = getattr(want, name)
-        if col is None:
-            assert all(getattr(d, name) is None for _, d in got)
+    for name, col in cols.items():
+        wanted = getattr(want, name)
+        if wanted is None:
+            assert col is None
             continue
-        assert [len(getattr(d, name)) for _, d in got] == sizes
-        joined = np.concatenate([getattr(d, name) for _, d in got])
-        assert joined.dtype == col.dtype
-        assert joined.tolist() == col.tolist()
+        assert [len(getattr(d, name)) for _, _, d in got] == sizes
+        assert col.dtype == wanted.dtype
+        assert col.tolist() == wanted.tolist()
 
 
 @pytest.mark.parametrize("guard", [10**4, 50])
@@ -122,12 +188,14 @@ def test_forced_exact_continuation_matches(monkeypatch, guard):
     assert len(calls) > 10**4
 
 
-@pytest.mark.parametrize("guard, restarts", [(10**7, {True, False}), (50, {True})])
+@pytest.mark.parametrize("guard, restarts", [(10**7, {True}), (50, {True}),
+                                             (10**8, {True, False})])
 def test_forced_exact_survivor_excursions_match(monkeypatch, guard, restarts):
     # above 2^14 excursion_records steps only the survivors mod 2^16, from
-    # T^16(n) with threshold n, or from n itself where T^16(n) could pass
-    # the guard (every survivor, at guard 50); with the guard lowered these
-    # starts reach the exact path, and the report does not change
+    # T^16(n) with threshold n, or from n itself in a block where some
+    # T^16(n) could pass the guard (every pruned block, at guards 10^7 and
+    # 50); with the guard lowered both kinds of start reach the exact path,
+    # and the report does not change
     n_max, k = 2 * 10**5, 16
     want = excursion_records(n_max).to_dict()
     monkeypatch.setattr(kernel, "GUARD", guard)
@@ -447,9 +515,10 @@ def survivor_grid(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
     kernel's GUARD is started at step 0, so its peak runs over 1 <= j <=
     steps.  Every n is unresolved when step_limit < k.
 
-    The former `stats._survivor_descent`: it builds the span's whole grid
-    of candidates, n and T^k(n), and runs each kind of start as its own
-    `descend`, so it is the oracle of the streamed candidates."""
+    It builds the span's whole grid of candidates, n and T^k(n), and runs
+    each kind of start as its own `descend`, candidate by candidate, so it
+    is the oracle of the candidates and verdicts `kernel.descend_range`
+    streams, whose start rule is per range, not per candidate."""
     k = sieve.k
     q = np.arange(lo >> k, (hi >> k) + 1, dtype=np.int64)[:, None]
     qmax = (kernel.GUARD - sieve.images) // sieve.pow3  # the largest q with T^k(n) <= GUARD
@@ -481,15 +550,6 @@ def survivor_chunk_oracle(lo, hi, sieve, step_limit):
     return len(n), n[d.unresolved].tolist()
 
 
-# whole rows of q, a partial first row, a partial last row, both, and one
-# partial row; the k = 16 spans hold five and three rows of q
-SPANS = {8: [(2**20, 2**20 + 2**14 - 1), (10**6 + 37, 10**6 + 2**14),
-             (10**6, 10**6 + 2**14 + 101), (10**6 + 37, 10**6 + 2**14 + 101),
-             (10**6 + 37, 10**6 + 200)],
-         16: [(3 * 2**16 + 1234, 8 * 2**16 - 1), (3 * 2**16, 5 * 2**16 + 4321),
-              (10**7 + 77, 10**7 + 3 * 2**16 + 999)]}
-
-
 @pytest.mark.parametrize("k, lo, hi", [(k, lo, hi) for k, spans in SPANS.items()
                                        for lo, hi in spans])
 def test_streamed_sieved_span_matches_the_survivor_grid(monkeypatch, k, lo, hi):
@@ -500,16 +560,10 @@ def test_streamed_sieved_span_matches_the_survivor_grid(monkeypatch, k, lo, hi):
     for step_limit in (0, k - 1, k, 60, 1000):
         want = survivor_chunk_oracle(lo, hi, sieve, step_limit)
         monkeypatch.setattr(kernel, "descend", None)  # any call fails
-        monkeypatch.setattr(stats, "descend", None)
         assert _verify_chunk((lo, hi, sieve, step_limit)) == want
         monkeypatch.undo()
 
 
-# spans where T^8(n) = 3^6 q + T^8(r) crosses GUARD, where n itself does,
-# where every n is past it, and k = 16 just below 2^62
-GUARD_SPANS = [(8, lo, lo + 2**12 - 1) for lo in
-               (((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 2**12)]
-GUARD_SPANS.append((16, 2**62 - 2**14 - 77, 2**62 - 1))
 STREAM_CASES = [(k, lo, hi, 0) for k, spans in SPANS.items() for lo, hi in spans]
 STREAM_CASES += [(k, lo, hi, 0) for k, lo, hi in GUARD_SPANS]
 STREAM_CASES += [(16, lo, hi, 10**7) for lo, hi in SPANS[16]]  # every row past qmax.min()
@@ -518,23 +572,26 @@ STREAM_CASES += [(16, lo, hi, 10**7) for lo, hi in SPANS[16]]  # every row past 
 @pytest.mark.parametrize("k, lo, hi, guard", STREAM_CASES)
 @pytest.mark.parametrize("peak", [False, True])
 def test_survivor_stream_matches_the_survivor_grid(monkeypatch, k, lo, hi, guard, peak):
-    # the candidates, the unresolved indices and the peaks of the stream,
-    # with its two kinds of start and the rerun from n, are the grid's;
-    # with step_limit < k the grid asks for no peak, and every unresolved
-    # candidate reads 0
+    # the candidates and the unresolved indices of the stream are the
+    # grid's, with its two kinds of start, and so are the peaks where no
+    # T^k(n) could pass GUARD; where one could, every candidate starts at
+    # n, and its peaks are those of a descent from n.  With step_limit < k
+    # the grid asks for no peak, and every unresolved candidate reads 0
     if guard:
         monkeypatch.setattr(kernel, "GUARD", guard)
     sieve = class_sieve(k)
     for step_limit in (0, k - 1, k, k + 1, 60, 1000):
         n, want = survivor_grid(lo, hi, sieve, step_limit, peak)
-        size, n_at, d = stats._survivor_descent(lo, hi, sieve, step_limit, peak)
-        assert size == len(n)
-        assert n_at(np.arange(size)).tolist() == n.tolist()
-        assert d.unresolved.tolist() == want.unresolved.tolist()
+        got, unresolved, cols = joined(kernel.descend_range(lo, hi, step_limit, sieve=sieve,
+                                                            peak=peak))
+        assert got.tolist() == n.tolist()
+        assert unresolved.tolist() == want.unresolved.tolist()
         if peak:
-            peaks = np.zeros(size, dtype=np.int64) if want.peak is None else want.peak
-            assert d.peak.dtype == peaks.dtype
-            assert d.peak.tolist() == peaks.tolist()
+            if starts_from_n(k, hi):
+                want = descend(n, step_limit, n, peak=True)
+            peaks = np.zeros(len(n), dtype=np.int64) if want.peak is None else want.peak
+            assert cols["peak"].dtype == peaks.dtype
+            assert cols["peak"].tolist() == peaks.tolist()
 
 
 def test_parallel_sieved_spans_match_the_survivor_grid():

@@ -463,7 +463,7 @@ def excursion_records_by_table(n_max):
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
         n = np.arange(base, hi + 1, dtype=np.int64)
-        d = stats.descend(n, stats.DEFAULT_STEP_LIMIT, peak=True)
+        d = kernel.descend(n, stats.DEFAULT_STEP_LIMIT, peak=True)
         if len(d.unresolved):
             raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
                                f"below itself within {stats.DEFAULT_STEP_LIMIT} steps")
@@ -504,8 +504,14 @@ def test_excursion_champions_against_memoised_excursions(monkeypatch):
             best = t[n]
             champs.append((n, best))
     pruned = []
-    real = stats._survivor_descent
-    monkeypatch.setattr(stats, "_survivor_descent", lambda *a, **kw: pruned.append(a) or real(*a, **kw))
+    real = kernel.descend_range
+
+    def recorded(*args, **kwargs):
+        if kwargs.get("sieve") is not None:
+            pruned.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "descend_range", recorded)
     rep = excursion_records(n_max)
     assert pruned
     assert rep.champions == champs
