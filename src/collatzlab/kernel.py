@@ -13,20 +13,21 @@ driver and the same loop body, and hands the starts it cannot settle
 batch, run again from the start; so every number a descent returns is
 exact and no caller sees an overflow.
 
-`descend_at` is the entry of the cascade, whose driver runs chunk then
-pool.  It reads its starts and thresholds through a function at(idx) of
-an index array, one cache-sized chunk of indices at a time, and takes the
-first 32 steps of each chunk (4 jumps, or 32 single steps where peak or
-kappa is asked for); the rest run on the pooled survivors of every chunk.
-So a descent holds one chunk, the pool, the indices it hands on and its
-outputs, whatever the batch size: no batch-long array of starts,
-thresholds or live columns is built.  `descend` gathers from given
-arrays, and `descend_range` computes each candidate of a range, its
-start and its threshold from the candidate's index.
+`_descend` is that driver, and it runs chunk then pool.  It reads its
+starts and thresholds through a function at(idx) of an index array, one
+cache-sized chunk of indices at a time, and takes the first 32 steps of
+each chunk (4 jumps, or 32 single steps where peak or kappa is asked
+for); the rest run on the pooled survivors of every chunk.  So a descent
+holds one chunk, the pool, the indices it hands on and its outputs,
+whatever the batch size: no batch-long array of starts, thresholds or
+live columns is built.  Its two callers are the entries of the cascade:
+`descend` gathers from given arrays, and `descend_range` computes each
+candidate of a range, its start and its threshold from the candidate's
+index.
 
 `descend_range` is the one range reader: every sweep over a range lo..hi
 of starts, sieved or not, is one loop over its batches, and no other
-module calls `descend` or `descend_at`.  Without a sieve every n is a
+module calls `descend` or `_descend`.  Without a sieve every n is a
 candidate (the naive span of `stats.verify_range`, the full blocks of
 `stats.excursion_records`, `stats.below_power_density` and the
 coefficient sweep of `coeffstop`).  With a `stats.ClassSieve` mod 2^k
@@ -86,7 +87,7 @@ def descend(
     outputs asked for are tracked (peak: drop and peak; kappa: steps and
     kappa).  kappa is the first k with 3^a < 2^k, a the odd steps among the
     first k; it never exceeds the stopping time.  The starts are gathered
-    chunk by chunk by `descend_at`.
+    chunk by chunk by `_descend`.
 
     A bare call (neither peak nor kappa) only sorts the starts into resolved
     and unresolved, and takes its steps K = 8 at a time: T^K(2^K q + r) =
@@ -111,24 +112,11 @@ def descend(
     """
     if threshold is None:
         threshold = starts
-    return descend_at(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
-                      peak=peak, kappa=kappa)
-
-
-def descend_at(size: int, at: Callable, step_limit: int, *, peak: bool = False,
-               kappa: bool = False) -> Descent:
-    """`descend` of `size` starts read through at(idx) -> (starts,
-    thresholds), two int64 arrays for an int64 array idx of indices in
-    0..size - 1: the entry of the cascade, by jumps for a bare call, else
-    by single steps.  at is called once per chunk of _CHUNK indices, and
-    once more on the indices of the starts the first level hands on, so no
-    batch-long array of starts or thresholds is built unless at builds it.
-    The outputs are indexed by idx."""
-    return _descend(size, at, step_limit, peak, kappa, 1 if peak or kappa else _K)
+    return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit, peak, kappa)
 
 
 #: candidates per batch of `descend_range`.  The batch bounds only the
-#: output columns: `descend_at` computes the starts and thresholds chunk by
+#: output columns: `_descend` computes the starts and thresholds chunk by
 #: chunk, so a bare batch holds no column per start and a kappa batch its
 #: two int64 output columns (32 MiB at 2^21).  At 2^21 each benchmarked
 #: range is one batch (naive verify_range(2^21) and the coefficient bound
@@ -191,8 +179,7 @@ def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callabl
             return x, n if threshold is None else threshold(n)
 
         count = min(_BLOCK, size - b)
-        d = descend_at(count, at, limit, peak=peak, kappa=kappa)
-        yield count, lambda idx, b=b: grid(idx, b)[2], d
+        yield count, lambda idx, b=b: grid(idx, b)[2], _descend(count, at, limit, peak, kappa)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
@@ -233,51 +220,49 @@ _CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
 _HEAD_STEPS = 32  # steps per chunk before the survivors are pooled (4 jumps of a bare call)
 
 
-def _chunk_then_pool(size: int, at: Callable, head: Callable, tail: Callable) -> dict:
-    """Run head on the live columns {idx, v, thr} of one chunk of _CHUNK
-    indices at a time, read through at, and tail on the pooled columns
-    head returns; returns what tail returns.  An empty batch is one empty
-    chunk."""
-    pool = []
-    for lo in range(0, max(size, 1), _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
-        v, t = at(idx)
-        pool.append(head({"idx": idx, "v": v, "thr": t}))
-    return tail({name: np.concatenate([live[name] for live in pool]) for name in pool[0]})
+def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
+             stride: Optional[int] = None, dtype=np.int64) -> Descent:
+    """`descend` of `size` starts read through at(idx) -> (starts,
+    thresholds), two arrays for an int64 array idx of indices in 0..size -
+    1, at one level of the cascade: stride-`_K` jumps or single steps
+    (stride 1) on int64 starts, or single steps on object arrays of Python
+    ints (dtype object).  The entry level (stride None) jumps for a bare
+    call, else takes single steps.  at is called once per chunk of _CHUNK
+    indices, on whose live columns {idx, v, thr} the first _HEAD_STEPS //
+    stride steps run, and once more on the indices of the starts handed on;
+    the rest run on the pooled survivors of every chunk, and an empty batch
+    is one empty chunk.  So no batch-long array of starts or thresholds is
+    built unless at builds it.  The outputs are indexed by idx.
 
-
-def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool, stride: int,
-             dtype=np.int64) -> Descent:
-    """`descend_at` at one level of the cascade: stride-`_K` jumps or
-    single steps (stride 1) on int64 starts, or single steps on object
-    arrays of Python ints (dtype object), the first _HEAD_STEPS // stride
-    on one chunk at a time and the rest on the pooled survivors of every
-    chunk.  The starts this level cannot settle are collected in `past`
-    and run again from the start, in one batch, by `_descend_steps` at the
-    next finer level: on int64 after jumps, on Python ints after int64
-    single steps.  At the jump level these are the starts with threshold
-    <= 2, those whose iterate passes the jump guard, and those still live
-    after the last jump, whose drop a jump may have passed over; at the
-    int64 single-step level, those whose orbit passes GUARD."""
+    The starts this level cannot settle are collected in `past` and run
+    again from the start, in one batch, by `_descend` at the next finer
+    level: on int64 after jumps, on Python ints after int64 single steps.
+    At the jump level these are the starts with threshold <= 2, those whose
+    iterate passes the jump guard, and those still live after the last
+    jump, whose drop a jump may have passed over; at the int64 single-step
+    level, those whose orbit passes GUARD."""
+    stride = stride or (1 if peak or kappa else _K)
     names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
     out = {name: np.zeros(size, dtype=dtype) for name in names}
     stop = step_limit // stride
     head = min(stop, _HEAD_STEPS // stride)
-    past = []  # indices of the starts left to the next level
-
-    def first(live):
-        if stride > 1 and (low := live["thr"] <= 2).any():
-            past.append(live["idx"][low])
+    past, pool = [], []  # indices of the starts left to the next level; chunk survivors
+    for lo in range(0, max(size, 1), _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
+        v, t = at(idx)
+        live = {"idx": idx, "v": v, "thr": t}
+        if stride > 1 and (low := t <= 2).any():
+            past.append(idx[low])
             live = {name: col[~low] for name, col in live.items()}
         if peak:
             live["peak"] = np.zeros(len(live["idx"]), dtype=dtype)
         if kappa:
             live["a"] = np.zeros(len(live["idx"]), dtype=np.int64)
             live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
-        return _steps(live, out, 0, head, past, stride)
-
-    unresolved = _chunk_then_pool(size, at, first,
-                                  lambda live: _steps(live, out, head, stop, past, stride))["idx"]
+        live = _steps(live, out, 0, head, past, stride)  # frees the chunk's first columns
+        pool.append(live)
+    live = {name: np.concatenate([chunk[name] for chunk in pool]) for name in pool[0]}
+    unresolved = _steps(live, out, head, stop, past, stride)["idx"]
     if stride > 1:  # a jump may have passed over the drop of a start still live
         past.append(unresolved)
         unresolved = unresolved[:0]
@@ -285,7 +270,9 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool, 
         # each sort merges ascending runs, which a stable sort (timsort) does in near linear time
         idx = np.sort(np.concatenate(past), kind="stable")
         v, t = at(idx)
-        rerun = _descend_steps(v if stride > 1 else v.astype(object), step_limit, t, peak, kappa)
+        if stride == 1:
+            v = v.astype(object)
+        rerun = _descend(len(v), lambda i: (v[i], t[i]), step_limit, peak, kappa, 1, v.dtype)
         unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])), kind="stable")
         for name in out:
             col = getattr(rerun, name)
@@ -293,19 +280,6 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool, 
                 out[name] = out[name].astype(object)
             out[name][idx] = col
     return Descent(unresolved, **out)
-
-
-def _descend_steps(
-    starts: np.ndarray,
-    step_limit: int,
-    threshold: np.ndarray,
-    peak: bool = False,
-    kappa: bool = False,
-) -> Descent:
-    """`descend` by single steps of given arrays: int64 ones, or object
-    arrays of Python ints for the exact run of the orbits past GUARD."""
-    return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit,
-                    peak, kappa, 1, starts.dtype)
 
 
 def _steps(live: dict, out: dict, step: int, stop: int, past: list, stride: int) -> dict:

@@ -255,10 +255,10 @@ def verify_range(
     members of eliminated classes above the cutoff are certified by the
     sieve, not by the step limit, so with step_limit < sieve_k they are no
     failures: verify_range(10**6, sieve_k=16, step_limit=10) lists 32,256
-    failures, where naive mode lists 62,500.  The naive part and each
-    sieved span of max(2^22, 2^sieve_k) numbers is one loop over
-    `kernel.descend_range`, and threads > 1 runs every span, the naive one
-    included, in parallel processes.
+    failures, where naive mode lists 62,500.  The naive part and the
+    sieved part are cut into spans of max(2^22, 2^sieve_k) numbers, each
+    one loop over `kernel.descend_range`, and threads > 1 runs the spans,
+    naive ones included, in parallel processes.
 
     A member n of a surviving class r mod 2^sieve_k has no iterate below n
     in its first k = sieve_k steps: T^j(n) = (3^a_j n + B_j) / 2^j with
@@ -278,7 +278,8 @@ def verify_range(
                                           for j in range(1, sieve_k + 1)}
     cutoff = n_max if sieve is None else min(sieve.max_threshold, n_max)
     span = 1 << max(22, sieve_k)
-    spans = [(2, cutoff, None, step_limit)] + [
+    spans = [(lo, min(lo + span - 1, cutoff), None, step_limit)
+             for lo in range(2, cutoff + 1, span)] + [
         (lo, min(lo + span - 1, n_max), sieve, step_limit)
         for lo in range(max(cutoff, 1) + 1, n_max + 1, span)]
     if threads > 1:

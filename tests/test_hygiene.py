@@ -3,12 +3,17 @@ every name a module imports is referenced somewhere in that module, every
 import sits at module level, every public function, class and method is
 referenced somewhere in the package, its tests or its benchmark, every
 private function, class and module-level assignment is referenced in the
-package itself, and the package promises only what it ships."""
+package itself, no module asserts, every name a docstring or comment puts
+in backticks is defined in the package, and the package promises only what
+it ships."""
 
 import ast
 import gc
 import importlib
+import io
+import re
 import sys
+import tokenize
 import weakref
 from pathlib import Path
 
@@ -169,21 +174,91 @@ def test_no_private_names_unreferenced_in_the_package(path):
 def descent_references(source: str) -> list[str]:
     """The descent entries of `kernel` that a source refers to: outside
     the kernel, every sweep reads its range through `kernel.descend_range`
-    alone, so no other module names `descend` or `descend_at`."""
-    return sorted(referenced_names(source) & {"descend", "descend_at"})
+    alone, so no other module names `descend` or `_descend`."""
+    return sorted(referenced_names(source) & {"descend", "_descend"})
 
 
 def test_scan_finds_a_descent_outside_the_range_reader():
     source = ("from . import kernel\nfrom .kernel import descend\n\n"
-              "def sweep(lo, hi, at):\n    d = kernel.descend_at(hi - lo + 1, at, 9)\n"
+              "def sweep(lo, hi, at):\n    d = kernel._descend(hi - lo + 1, at, 9, False, False)\n"
               "    return descend(d.unresolved, 9), kernel.descend_range(lo, hi, 9)\n")
-    assert descent_references(source) == ["descend", "descend_at"]
+    assert descent_references(source) == ["_descend", "descend"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernel.py"],
                          ids=lambda p: p.name)
 def test_only_the_kernel_names_a_descent(path):
     assert descent_references(path.read_text()) == []
+
+
+def asserts(source: str) -> list[str]:
+    """The assert statements of a source: `python -O` strips them, so no
+    certificate of the package may rest on one."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_an_assert():
+    source = ("def drop(n):\n    assert n > 1, 'n'\n    if n < 2:\n"
+              "        raise ValueError('n')\n    return n // 2\n")
+    assert asserts(source) == ["line 2"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path.read_text()) == []
+
+
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def defined_names(source: str) -> set[str]:
+    """Every name a source defines: its functions, classes and arguments,
+    and every assignment, loop or walrus target."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def undefined_docstring_names(source: str, defined: set[str]) -> list[str]:
+    """The backticked names, dotted or not, in the docstrings and comments
+    of a source that have a part not in defined; other backticked text,
+    such as an expression, is no name and is not checked."""
+    scopes = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    texts = [(node.body[0].lineno, doc) for node in ast.walk(ast.parse(source))
+             if isinstance(node, scopes) and (doc := ast.get_docstring(node, clean=False))]
+    texts += [(tok.start[0], tok.string)
+              for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type == tokenize.COMMENT]
+    return [f"{name} (line {line})" for line, text in texts
+            for name in re.findall(r"`([^`]+)`", text)
+            if DOTTED_NAME.fullmatch(name) and not set(name.split(".")) <= defined]
+
+
+def test_scan_finds_a_stale_docstring_name():
+    source = ('"""Sweeps through `kernel.descend_range`, by `jumps`."""\n\n'
+              "def run(lo, hi):\n"
+              '    """`descend_at` of lo..hi; `hi - lo + 1` starts."""\n'
+              "    # the rerun of `_descend_steps`, by `run` from `lo`\n"
+              "    return lo\n")
+    defined = defined_names(source) | {"kernel", "descend_range"}
+    assert undefined_docstring_names(source, defined) == [
+        "jumps (line 1)", "descend_at (line 4)", "_descend_steps (line 5)"]
+
+
+PACKAGE_NAMES = {"collatzlab"} | {path.stem for path in SRC.glob("*.py")} | set().union(
+    *(defined_names(path.read_text()) for path in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_docstring_names_are_defined(path):
+    assert undefined_docstring_names(path.read_text(), PACKAGE_NAMES) == []
 
 
 MAX_LINE = 100

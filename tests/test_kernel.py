@@ -40,17 +40,18 @@ def _reports():
 
 
 def record_exact_starts(monkeypatch):
-    """Wrap `kernel._descend_steps` and return the list it fills with the
+    """Wrap `kernel._descend` and return the list it fills with the
     (start, threshold) pairs of its exact runs, those on object arrays."""
     calls = []
-    steps = kernel._descend_steps
+    level = kernel._descend
 
-    def wrapped(starts, step_limit, threshold, *flags):
-        if starts.dtype == object:
+    def wrapped(size, at, step_limit, peak, kappa, stride=None, dtype=np.int64):
+        if dtype == object:
+            starts, threshold = at(np.arange(size))
             calls.extend(zip(starts.tolist(), threshold.tolist()))
-        return steps(starts, step_limit, threshold, *flags)
+        return level(size, at, step_limit, peak, kappa, stride, dtype)
 
-    monkeypatch.setattr(kernel, "_descend_steps", wrapped)
+    monkeypatch.setattr(kernel, "_descend", wrapped)
     return calls
 
 
@@ -61,7 +62,7 @@ def test_multi_block_reports_match_one_block(monkeypatch):
     # report is the one a single batch gives
     want = _reports()
     sizes = []
-    driver = kernel.descend_at
+    driver = kernel._descend
 
     def counted(size, at, *args, **kwargs):
         if at.__qualname__.startswith("descend_range."):  # a batch of `descend_range`
@@ -69,7 +70,7 @@ def test_multi_block_reports_match_one_block(monkeypatch):
         return driver(size, at, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "_BLOCK", 64)
-    monkeypatch.setattr(kernel, "descend_at", counted)
+    monkeypatch.setattr(kernel, "_descend", counted)
     assert _reports() == want
     assert max(sizes) == 64 and len(sizes) > 600
 
@@ -414,7 +415,9 @@ def descend_jumps_unchunked(starts, step_limit, thr):
         idx, v, t = idx[stays], v[stays], t[stays]
     single[idx] = True  # a jump may have passed over the drop of a start still live
     rerun = np.flatnonzero(single)
-    return rerun[kernel._descend_steps(starts[rerun], step_limit, thr[rerun]).unresolved]
+    starts, thr = starts[rerun], thr[rerun]
+    steps = kernel._descend(len(rerun), lambda i: (starts[i], thr[i]), step_limit, False, False, 1)
+    return rerun[steps.unresolved]
 
 
 def grid_batch(size, step_limit, kind):
@@ -446,8 +449,14 @@ def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
     # limit, so it is stubbed to give up on every start it is handed: each
     # side then returns exactly the starts its jumps sent to it, the one
     # input of the shared fallback, and equal inputs give equal outputs
-    monkeypatch.setattr(kernel, "_descend_steps",
-                        lambda starts, *_: kernel.Descent(np.arange(len(starts))))
+    level = kernel._descend
+
+    def give_up_on_reruns(size, at, step_limit, peak, kappa, stride=None, *dtype):
+        if stride == 1:  # a rerun by single steps; the entry call jumps
+            return kernel.Descent(np.arange(size))
+        return level(size, at, step_limit, peak, kappa, stride, *dtype)
+
+    monkeypatch.setattr(kernel, "_descend", give_up_on_reruns)
     for step_limit in GRID_STEP_LIMITS:
         for kind in range(4):
             starts, thr = grid_batch(size, step_limit, kind)

@@ -242,6 +242,23 @@ def test_parallel_equals_sequential():
     assert a.to_dict() == b.to_dict()
 
 
+def test_naive_range_is_cut_into_spans(monkeypatch):
+    # the naive part is cut into spans of 2^22 numbers, as the sieved part
+    # is, so threads > 1 spreads it over the pool with the same report
+    n_max = 2**22 + 5
+    parallel = verify_range(n_max, mode="naive", threads=2).to_dict()
+    spans = []
+    chunk = stats._verify_chunk
+
+    def counted(args):
+        spans.append(args[:2])
+        return chunk(args)
+
+    monkeypatch.setattr(stats, "_verify_chunk", counted)
+    assert verify_range(n_max, mode="naive").to_dict() == parallel
+    assert spans == [(2, 2**22 + 1), (2**22 + 2, n_max)]
+
+
 # ---------------------------------------------------------------- densities
 
 def test_stopping_density_basics():
@@ -419,14 +436,15 @@ def test_excursion_bound_violation_is_reported(monkeypatch):
     # the sweep streams from T^16(n) with threshold n, read through at(idx)
     n0 = 600_059
     assert n0 % 2**16 in set(class_sieve(16).survivors.tolist())
-    real = kernel.descend_at
+    real = kernel._descend
 
-    def planted(size, at, step_limit, **kwargs):
-        d = real(size, at, step_limit, **kwargs)
-        d.peak[at(np.arange(size))[1] == n0] = 8 * n0 * n0 + 1
+    def planted(size, at, *args):
+        d = real(size, at, *args)
+        if at.__qualname__.startswith("descend_range."):  # a batch of `descend_range`
+            d.peak[at(np.arange(size))[1] == n0] = 8 * n0 * n0 + 1
         return d
 
-    monkeypatch.setattr(kernel, "descend_at", planted)
+    monkeypatch.setattr(kernel, "_descend", planted)
     rep = excursion_records(700_000)
     assert rep.bound_violations == [(n0, 8 * n0 * n0 + 1)]
     assert rep.champions[-1] == (n0, 8 * n0 * n0 + 1)
