@@ -227,17 +227,15 @@ def _critical_denominators() -> tuple[int, ...]:
 
 def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     """All n <= n_max whose coefficient stopping time is <= k_max but whose
-    stopping time differs (vectorized, exact), by one loop over
-    `kernel.descend_range`, which cuts 2..n_max into batches."""
-    bad: list[int] = []
-    for _, n_at, d in kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True):
-        if len(d.unresolved):
-            raise RuntimeError(f"coefficient sweep: n={n_at(d.unresolved[:1])[0]} did not "
-                               f"drop below itself within {DEFAULT_STEP_LIMIT} steps")
-        # kappa <= sigma always; disagreement iff kappa came strictly earlier
-        late = (d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)
-        bad.extend(n_at(late.nonzero()[0]).tolist())
-    return bad
+    stopping time differs (vectorized, exact), by one call to
+    `kernel.descend_range` over 2..n_max."""
+    _, n_at, d = kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True)
+    if len(d.unresolved):
+        raise RuntimeError(f"coefficient sweep: n={n_at(d.unresolved[:1])[0]} did not "
+                           f"drop below itself within {DEFAULT_STEP_LIMIT} steps")
+    # kappa <= sigma always; disagreement iff kappa came strictly earlier
+    late = (d.kappa != 0) & (d.kappa < d.steps) & (d.kappa <= k_max)
+    return n_at(late.nonzero()[0]).tolist()
 
 
 def residue_class_structure(k: int) -> bool:

@@ -3,32 +3,33 @@ x/2 for even x, and the one overflow policy of the vectorized sweeps.
 `lift` is the one place that builds residue tables mod 2^k: the jump table
 here, the stopping-time sieve and the 2-adic parity table read it.
 
-Every sweep is a descent: iterate T on a batch of starts until each first
+Every sweep is a descent: iterate T on a set of starts until each first
 falls below a threshold (the start itself for the stopping time; Terras
 1976).  A descent is one cascade at three precisions: K-step jumps on
 int64 where only the verdict is asked for, single steps on int64, and
 single steps on object arrays of Python ints.  Each level runs the same
 driver and the same loop body, and hands the starts it cannot settle
-(past a guard, or passed over by a jump) to the next finer level in one
-batch, run again from the start; so every number a descent returns is
+(past a guard, or passed over by a jump) to the next finer level, which
+runs them again from the start; so every number a descent returns is
 exact and no caller sees an overflow.
 
 `_descend` is that driver, and it runs chunk then pool.  It reads its
 starts and thresholds through a function at(idx) of an index array, one
 cache-sized chunk of indices at a time, and takes the first 32 steps of
 each chunk (4 jumps, or 32 single steps where peak or kappa is asked
-for); the rest run on the pooled survivors of every chunk.  So a descent
-holds one chunk, the pool, the indices it hands on and its outputs,
-whatever the batch size: no batch-long array of starts, thresholds or
-live columns is built.  Its two callers are the entries of the cascade:
+for); the rest run on the pooled survivors of the chunks, each time the
+pool reaches _POOL = 2^18 starts and once at the end.  So a descent holds
+one chunk, at most _POOL pooled starts, the indices it hands on and its
+outputs, however many starts it has: no array of starts, thresholds or
+live columns spans them.  Its two callers are the entries of the cascade:
 `descend` gathers from given arrays, and `descend_range` computes each
 candidate of a range, its start and its threshold from the candidate's
 index.
 
 `descend_range` is the one range reader: every sweep over a range lo..hi
-of starts, sieved or not, is one loop over its batches, and no other
-module calls `descend` or `_descend`.  Without a sieve every n is a
-candidate (the naive span of `stats.verify_range`, the full blocks of
+of starts, sieved or not, is one call to it, and no other module calls
+`descend` or `_descend`.  Without a sieve every n is a candidate (the
+naive span of `stats.verify_range`, the full blocks of
 `stats.excursion_records`, `stats.below_power_density` and the
 coefficient sweep of `coeffstop`).  With a `stats.ClassSieve` mod 2^k
 the candidates are the members n = 2^k q + r of its surviving classes
@@ -40,7 +41,7 @@ itself in a range where some T^k(n) could pass GUARD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -86,8 +87,9 @@ def descend(
     (default: the start itself), giving up after step_limit steps.  Only the
     outputs asked for are tracked (peak: drop and peak; kappa: steps and
     kappa).  kappa is the first k with 3^a < 2^k, a the odd steps among the
-    first k; it never exceeds the stopping time.  The starts are gathered
-    chunk by chunk by `_descend`.
+    first k; it never exceeds the stopping time.  starts and threshold must
+    be int64 arrays (TypeError otherwise: 3x + 1 would wrap in a narrower
+    type).  The starts are gathered chunk by chunk by `_descend`.
 
     A bare call (neither peak nor kappa) only sorts the starts into resolved
     and unresolved, and takes its steps K = 8 at a time: T^K(2^K q + r) =
@@ -103,43 +105,37 @@ def descend(
 
     The first _HEAD_STEPS = 32 steps (4 jumps of a bare call, else single
     steps) run on one chunk of _CHUNK = 2^15 starts at a time, and the
-    survivors of every chunk (about 2% of a naive range, 13% of sieve
-    survivors) are pooled for the rest.  Every output of a start depends on
-    its own orbit alone, and every pooled start has taken the same steps,
-    so the split changes no output.  The working set is one chunk, the
-    pool, the indices handed to the next level and the output columns
-    asked for: a bare call has none.
+    survivors of the chunks (about 2% of a naive range, 13% of sieve
+    survivors) are pooled for the rest, which runs on the pool each time it
+    holds _POOL = 2^18 starts and once at the end.  Every output of a start
+    depends on its own orbit alone, and every pooled start has taken the
+    same steps, so the split changes no output.  The working set is one
+    chunk, the pool, the indices handed to the next level and the output
+    columns asked for: a bare call has none.
     """
     if threshold is None:
         threshold = starts
+    if starts.dtype != np.int64 or threshold.dtype != np.int64:
+        raise TypeError("descend takes int64 starts and thresholds")
     return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit, peak, kappa)
-
-
-#: candidates per batch of `descend_range`.  The batch bounds only the
-#: output columns: `_descend` computes the starts and thresholds chunk by
-#: chunk, so a bare batch holds no column per start and a kappa batch its
-#: two int64 output columns (32 MiB at 2^21).  At 2^21 each benchmarked
-#: range is one batch (naive verify_range(2^21) and the coefficient bound
-#: 238,670), as is every sieved span of 2^22 numbers up to k = 21.
-_BLOCK = 1 << 21
 
 
 def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
                   sieve=None, peak: bool = False,
-                  kappa: bool = False) -> Iterator[tuple[int, Callable, Descent]]:
-    """Yield (size, n_at, d) for the candidates n in lo..hi, in ascending
-    batches of up to _BLOCK: n_at(idx) gives the candidates at the int64
-    indices idx into the batch, and d = descend(n, step_limit, threshold(n),
-    peak=peak, kappa=kappa) is indexed like them.  threshold maps an array
-    of candidates to their thresholds elementwise, and None means n itself.
-    Without a sieve every n is a candidate.  With one, a `stats.ClassSieve`
-    mod 2^k, the candidates are the n = 2^k q + r with r one of its S
-    survivors, the rest being certified by the sieve; a member of a
-    surviving class has no iterate below n (nor below a threshold at most
-    n) in its first k steps (see `stats.verify_range`).  Candidate i of the
-    range sits at row q and column c of the (q, r) grid, divmod(i + first,
-    S) from the row lo >> k, first the survivors of that row below lo.  A
-    range without a sieve is the one class mod 2^0, with no division.
+                  kappa: bool = False) -> tuple[int, Callable, Descent]:
+    """Return (size, n_at, d) for the size candidates n in lo..hi, ascending:
+    n_at(idx) gives the candidates at the int64 indices idx, and d =
+    descend(n, step_limit, threshold(n), peak=peak, kappa=kappa) is indexed
+    like them.  threshold maps an array of candidates to their thresholds
+    elementwise, and None means n itself.  Without a sieve every n is a
+    candidate.  With one, a `stats.ClassSieve` mod 2^k, the candidates are
+    the n = 2^k q + r with r one of its S survivors, the rest being
+    certified by the sieve; a member of a surviving class has no iterate
+    below n (nor below a threshold at most n) in its first k steps (see
+    `stats.verify_range`).  Candidate i sits at row q and column c of the
+    (q, r) grid, divmod(i + first, S) from the row lo >> k, first the
+    survivors of that row below lo.  A range without a sieve is the one
+    class mod 2^0, with no division.
 
     Every candidate starts at step k, from T^k(n) = 3^a(r) q + T^k(r) (the
     identity of the jump table), with step_limit - k steps: the verdict of
@@ -149,7 +145,8 @@ def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callabl
     steps, and its peak runs over 1 <= j <= steps.  With step_limit < k
     every candidate is unresolved.  kappa counts from step 0, so it takes
     no sieve.  The candidates, starts and thresholds are computed chunk by
-    chunk, never for a whole batch.  An empty range yields nothing."""
+    chunk by `_descend`, whose working set is bounded whatever the range;
+    only the output columns asked for span it.  An empty range has size 0."""
     if sieve is None:
         k, r, images, pow3 = 0, *(np.array([x], dtype=np.int64) for x in (0, 0, 1))
     elif kappa:
@@ -158,28 +155,26 @@ def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callabl
         k, r, images, pow3 = sieve.k, sieve.survivors, sieve.images, sieve.pow3
     S, mask = len(r), (1 << k) - 1
     q0, first = lo >> k, int(np.searchsorted(r, lo & mask))
-    size = ((hi >> k) - q0) * S + int(np.searchsorted(r, hi & mask, side="right")) - first
+    size = max(((hi >> k) - q0) * S + int(np.searchsorted(r, hi & mask, side="right")) - first, 0)
     from_n = hi >> k > ((GUARD - images) // pow3).min()  # some T^k(n) could pass GUARD
     limit = step_limit if from_n else max(step_limit - k, 0)
 
-    def grid(idx, b):  # the row, column and candidate of the indices idx of batch b
+    def grid(idx):  # the row, column and candidate of the indices idx
         if S == 1:  # no division: the row is the index, from q0 + first
-            q, col = idx + (q0 + first + b), 0
+            q, col = idx + (q0 + first), 0
         else:
-            col = idx + (first + b)
+            col = idx + first
             q = col // S
             col -= q * S  # the divmod, by a floor division numpy runs far faster
             q += q0
         return q, col, (q << k) + r[col] if k else q
 
-    for b in range(0, size, _BLOCK):
-        def at(idx, b=b):
-            q, col, n = grid(idx, b)
-            x = n if from_n or not k else q * pow3[col] + images[col]
-            return x, n if threshold is None else threshold(n)
+    def at(idx):
+        q, col, n = grid(idx)
+        x = n if from_n or not k else q * pow3[col] + images[col]
+        return x, n if threshold is None else threshold(n)
 
-        count = min(_BLOCK, size - b)
-        yield count, lambda idx, b=b: grid(idx, b)[2], _descend(count, at, limit, peak, kappa)
+    return size, lambda idx: grid(idx)[2], _descend(size, at, limit, peak, kappa)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
@@ -218,39 +213,43 @@ _K = 8
 _, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
 _CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
 _HEAD_STEPS = 32  # steps per chunk before the survivors are pooled (4 jumps of a bare call)
+_POOL = 1 << 18  # pooled survivors at which the pool is flushed through the tail
 
 
 def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
              stride: Optional[int] = None, dtype=np.int64) -> Descent:
     """`descend` of `size` starts read through at(idx) -> (starts,
-    thresholds), two arrays for an int64 array idx of indices in 0..size -
-    1, at one level of the cascade: stride-`_K` jumps or single steps
-    (stride 1) on int64 starts, or single steps on object arrays of Python
-    ints (dtype object).  The entry level (stride None) jumps for a bare
-    call, else takes single steps.  at is called once per chunk of _CHUNK
-    indices, on whose live columns {idx, v, thr} the first _HEAD_STEPS //
-    stride steps run, and once more on the indices of the starts handed on;
-    the rest run on the pooled survivors of every chunk, and an empty batch
-    is one empty chunk.  So no batch-long array of starts or thresholds is
-    built unless at builds it.  The outputs are indexed by idx.
+    thresholds), two int64 arrays for an int64 array idx of indices in
+    0..size - 1, at one level of the cascade: stride-`_K` jumps or single
+    steps (stride 1) on int64 starts, or single steps on object arrays of
+    Python ints (dtype object, to which each chunk's starts are converted).
+    The entry level (stride None) jumps for a bare call, else takes single
+    steps.  at is called once per chunk of _CHUNK indices, on whose live
+    columns {idx, v, thr} the first _HEAD_STEPS // stride steps run; the
+    survivors of the chunks are pooled, and the rest of the steps run on
+    the pool whenever it holds _POOL starts, and once more at the end, so
+    an empty call is one empty chunk.  The working set is one chunk, the
+    pool, the indices handed on and the output columns asked for, whatever
+    the size; no array of starts or thresholds spans it unless at builds
+    one.  The outputs are indexed by idx.
 
     The starts this level cannot settle are collected in `past` and run
-    again from the start, in one batch, by `_descend` at the next finer
-    level: on int64 after jumps, on Python ints after int64 single steps.
-    At the jump level these are the starts with threshold <= 2, those whose
-    iterate passes the jump guard, and those still live after the last
-    jump, whose drop a jump may have passed over; at the int64 single-step
-    level, those whose orbit passes GUARD."""
+    again from the start by `_descend` at the next finer level, which reads
+    them through at, chunk by chunk: on int64 after jumps, on Python ints
+    after int64 single steps.  At the jump level these are the starts with
+    threshold <= 2, those whose iterate passes the jump guard, and those
+    still live after the last jump, whose drop a jump may have passed over;
+    at the int64 single-step level, those whose orbit passes GUARD."""
     stride = stride or (1 if peak or kappa else _K)
     names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
     out = {name: np.zeros(size, dtype=dtype) for name in names}
     stop = step_limit // stride
     head = min(stop, _HEAD_STEPS // stride)
-    past, pool = [], []  # indices of the starts left to the next level; chunk survivors
+    past, pool, tails = [], [], []  # indices left to the next level; chunk survivors; live at stop
     for lo in range(0, max(size, 1), _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
         v, t = at(idx)
-        live = {"idx": idx, "v": v, "thr": t}
+        live = {"idx": idx, "v": v.astype(dtype, copy=False), "thr": t}
         if stride > 1 and (low := t <= 2).any():
             past.append(idx[low])
             live = {name: col[~low] for name, col in live.items()}
@@ -261,18 +260,19 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
             live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
         live = _steps(live, out, 0, head, past, stride)  # frees the chunk's first columns
         pool.append(live)
-    live = {name: np.concatenate([chunk[name] for chunk in pool]) for name in pool[0]}
-    unresolved = _steps(live, out, head, stop, past, stride)["idx"]
+        if sum(len(chunk["idx"]) for chunk in pool) >= _POOL or lo + _CHUNK >= size:
+            live = {name: np.concatenate([chunk[name] for chunk in pool]) for name in pool[0]}
+            pool = []
+            tails.append(_steps(live, out, head, stop, past, stride)["idx"])
+    unresolved = np.concatenate(tails)  # ascending: the tails run in chunk order
     if stride > 1:  # a jump may have passed over the drop of a start still live
         past.append(unresolved)
         unresolved = unresolved[:0]
     if past:
         # each sort merges ascending runs, which a stable sort (timsort) does in near linear time
         idx = np.sort(np.concatenate(past), kind="stable")
-        v, t = at(idx)
-        if stride == 1:
-            v = v.astype(object)
-        rerun = _descend(len(v), lambda i: (v[i], t[i]), step_limit, peak, kappa, 1, v.dtype)
+        rerun = _descend(len(idx), lambda i: at(idx[i]), step_limit, peak, kappa, 1,
+                         object if stride == 1 else dtype)
         unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])), kind="stable")
         for name in out:
             col = getattr(rerun, name)

@@ -10,7 +10,7 @@ range reader, which computes each candidate and its start from the
 candidate's index and steps them chunk by chunk on int64 numpy arrays,
 with any orbit that crosses the int64 guard run in exact Python ints, so
 every reported number is the result of exact arithmetic.  Every range
-sweep is one loop over it: the spans of verify_range, naive and sieved,
+sweep is one call to it: the spans of verify_range, naive and sieved,
 the blocks of excursion_records, full and pruned, and
 below_power_density.  A sieved range reads only the members of the
 classes the sieve keeps, and no sweep builds a span-long array of starts.
@@ -226,14 +226,11 @@ class VerificationReport:
 def _verify_chunk(args) -> tuple[int, list[int]]:
     """The count of the candidates in lo..hi (every n without a sieve,
     else the n whose residue mod 2^k survives it), and those with no
-    iterate below n within step_limit steps, read from
+    iterate below n within step_limit steps, read from one call to
     `kernel.descend_range`."""
     lo, hi, sieve, step_limit = args
-    count, failures = 0, []
-    for size, n_at, d in kernel.descend_range(lo, hi, step_limit, sieve=sieve):
-        count += size
-        failures += n_at(d.unresolved).tolist()
-    return count, failures
+    size, n_at, d = kernel.descend_range(lo, hi, step_limit, sieve=sieve)
+    return size, n_at(d.unresolved).tolist()
 
 
 def verify_range(
@@ -257,7 +254,7 @@ def verify_range(
     failures: verify_range(10**6, sieve_k=16, step_limit=10) lists 32,256
     failures, where naive mode lists 62,500.  The naive part and the
     sieved part are cut into spans of max(2^22, 2^sieve_k) numbers, each
-    one loop over `kernel.descend_range`, and threads > 1 runs the spans,
+    one call to `kernel.descend_range`, and threads > 1 runs the spans,
     naive ones included, in parallel processes.
 
     A member n of a surviving class r mod 2^sieve_k has no iterate below n
@@ -332,9 +329,8 @@ def below_power_density(
         raise ValueError("beta must lie in (0, 1)")
     if n_max < 10**3:
         raise ValueError("n_max must be >= 1000")
-    ranged = kernel.descend_range(2, n_max, step_limit, lambda n: _power_ceiling(n, beta))
-    unresolved = sum(len(d.unresolved) for _, _, d in ranged)
-    return Fraction(n_max - 1 - unresolved, n_max - 1)
+    _, _, d = kernel.descend_range(2, n_max, step_limit, lambda n: _power_ceiling(n, beta))
+    return Fraction(n_max - 1 - len(d.unresolved), n_max - 1)
 
 
 def _power_ceiling(n: np.ndarray, beta: Fraction) -> np.ndarray:
@@ -466,7 +462,7 @@ def excursion_records(n_max: int) -> ExcursionReport:
     and the first k iterates of a member of a surviving class are below
     the same bound.  On a block lo..hi with 3^k (hi + 1) <= 2^k min(best,
     8 lo^2), neither can make n a champion or a violation.  So there only
-    the survivors are stepped.  Each block is one loop over
+    the survivors are stepped.  Each block is one call to
     `kernel.descend_range`, the one range reader, with two sieves: the
     sieve mod 2^16 on a pruned block, and none on a block stepped in full
     (2^14 numbers, the first block among them).  A survivor started at
@@ -495,19 +491,19 @@ def excursion_records(n_max: int) -> ExcursionReport:
         pruned = lo > sieve.max_threshold and hi >= lo
         if not pruned:
             hi = min(n_max, lo + (1 << 14) - 1)
-        for size, n_at, d in kernel.descend_range(lo, hi, DEFAULT_STEP_LIMIT,
-                                                  sieve=sieve if pruned else None, peak=True):
-            n = n_at(np.arange(size))
-            if len(d.unresolved):
-                raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
-                                   f"below itself within {DEFAULT_STEP_LIMIT} steps")
-            p = d.peak
-            over = np.flatnonzero(p > 8 * n * n)
-            violations += [(int(n[i]), int(p[i])) for i in over]
-            for i in np.flatnonzero(p == np.maximum.accumulate(p)):
-                if p[i] > best:
-                    best = int(p[i])
-                    champs.append((int(n[i]), best))
+        size, n_at, d = kernel.descend_range(lo, hi, DEFAULT_STEP_LIMIT,
+                                             sieve=sieve if pruned else None, peak=True)
+        n = n_at(np.arange(size))
+        if len(d.unresolved):
+            raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
+                               f"below itself within {DEFAULT_STEP_LIMIT} steps")
+        p = d.peak
+        over = np.flatnonzero(p > 8 * n * n)
+        violations += [(int(n[i]), int(p[i])) for i in over]
+        for i in np.flatnonzero(p == np.maximum.accumulate(p)):
+            if p[i] > best:
+                best = int(p[i])
+                champs.append((int(n[i]), best))
         lo = hi + 1
     return ExcursionReport(n_max, champs, violations)
 

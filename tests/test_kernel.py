@@ -2,6 +2,7 @@
 sweep with its exact path forced."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -55,24 +56,38 @@ def record_exact_starts(monkeypatch):
     return calls
 
 
+def small_pool(monkeypatch):
+    """Cut `kernel._descend` to chunks of 16 starts and a pool flushed at
+    64, and return the list that a spy on the tail `_steps` fills with the
+    `past` list of each flush: one list object per `_descend` call."""
+    monkeypatch.setattr(kernel, "_CHUNK", 16)
+    monkeypatch.setattr(kernel, "_POOL", 64)
+    flushes = []
+    steps = kernel._steps
+
+    def spied(live, out, step, stop, past, stride):
+        if step:  # the head of a chunk starts at step 0, the tail at the head's end
+            flushes.append(past)
+        return steps(live, out, step, stop, past, stride)
+
+    monkeypatch.setattr(kernel, "_steps", spied)
+    return flushes
+
+
+def most_flushes(flushes):
+    """The most pool flushes of one `_descend` call."""
+    return max(Counter(map(id, flushes)).values(), default=0)
+
+
 def test_multi_block_reports_match_one_block(monkeypatch):
-    # with 64-candidate batches every sweep (naive and sieved spans,
-    # excursion blocks, below_power_density and the coefficient sweep,
-    # 2..281 in 5 batches) runs many batches of `descend_range`, and every
-    # report is the one a single batch gives
+    # with 16-start chunks and a 64-start pool every sweep (naive and
+    # sieved spans, excursion blocks, below_power_density and the
+    # coefficient sweep over 2..281) flushes its pool many times, and every
+    # report is the one a single flush at the end gives
     want = _reports()
-    sizes = []
-    driver = kernel._descend
-
-    def counted(size, at, *args, **kwargs):
-        if at.__qualname__.startswith("descend_range."):  # a batch of `descend_range`
-            sizes.append(size)
-        return driver(size, at, *args, **kwargs)
-
-    monkeypatch.setattr(kernel, "_BLOCK", 64)
-    monkeypatch.setattr(kernel, "_descend", counted)
+    flushes = small_pool(monkeypatch)
     assert _reports() == want
-    assert max(sizes) == 64 and len(sizes) > 600
+    assert len(flushes) > 40 and most_flushes(flushes) > 1
 
 
 # whole rows of q, a partial first row, a partial last row, both, and one
@@ -107,20 +122,6 @@ def starts_from_n(k, hi):
     return hi >> k > ((kernel.GUARD - sieve.images) // sieve.pow3).min()
 
 
-def joined(batches):
-    """The candidates of a `descend_range` stream, their unresolved
-    indices and their output columns, each joined over the batches."""
-    ns, unresolved, cols, base = [], [], {}, 0
-    for size, n_at, d in batches:
-        ns.append(n_at(np.arange(size)))
-        unresolved.append(base + d.unresolved)
-        for name in ("steps", "drop", "peak", "kappa"):
-            cols.setdefault(name, []).append(getattr(d, name))
-        base += size
-    cols = {name: None if col[0] is None else np.concatenate(col) for name, col in cols.items()}
-    return np.concatenate(ns), np.concatenate(unresolved), cols
-
-
 RANGE_CASES = [  # the unsieved ids read threshold-flags-lo-hi
     pytest.param(None, lo, hi, threshold, flags,
                  id=f"{'None' if threshold is None else '<lambda>'}-flags{i}-{lo}-{hi}")
@@ -134,27 +135,28 @@ RANGE_CASES.append(pytest.param(8, 10**6 + 37, 10**6 + 200, None, {"kappa": True
 
 @pytest.mark.parametrize("k, lo, hi, threshold, flags", RANGE_CASES)
 def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, flags):
-    # 64-candidate batches, so 63..193 crosses batch edges, 2..300 runs
-    # five batches and every sieved span runs many; GUARD - 40..GUARD + 40
-    # takes the exact path.  Each batch is yielded as (size, n_at,
-    # Descent), its Descent indexed like n_at(arange(size)).  A sieved
-    # range gives the candidates and verdicts of `survivor_grid`, and its
-    # outputs where no start passes GUARD, else those of a descent from n
-    # (peaks over 1 <= j <= steps); kappa counts from step 0, so a sieve
-    # refuses it
-    monkeypatch.setattr(kernel, "_BLOCK", 64)
+    # 16-start chunks and a 64-start pool, so every range of over 1,000
+    # candidates flushes its pool more than once; GUARD - 40..GUARD + 40
+    # takes the exact path.  The range is returned as (size, n_at,
+    # Descent), its Descent indexed like n_at(arange(size)), and the empty
+    # range (10, 9) has size 0.  A sieved range gives the candidates and
+    # verdicts of `survivor_grid`, and its outputs where no start passes
+    # GUARD, else those of a descent from n (peaks over 1 <= j <= steps);
+    # kappa counts from step 0, so a sieve refuses it.  The oracles run at
+    # the full chunk and pool sizes
     sieve = None if k is None else class_sieve(k)
     if sieve is not None and flags.get("kappa"):
         with pytest.raises(ValueError, match="kappa"):
-            next(kernel.descend_range(lo, hi, 1000, sieve=sieve, kappa=True))
+            kernel.descend_range(lo, hi, 1000, sieve=sieve, kappa=True)
         return
-    got = list(kernel.descend_range(lo, hi, 1000, threshold, sieve=sieve, **flags))
+    with monkeypatch.context() as small:
+        flushes = small_pool(small)
+        size, n_at, got = kernel.descend_range(lo, hi, 1000, threshold, sieve=sieve, **flags)
+    if size > 1000:
+        assert most_flushes(flushes) > 1
     if lo > hi:
-        assert got == []
-        return
-    sizes = [size for size, _, _ in got]
-    assert set(sizes[:-1]) <= {64} and 0 < sizes[-1] <= 64
-    n, unresolved, cols = joined(got)
+        assert size == 0
+    n = n_at(np.arange(size))
     if sieve is None:
         assert n.tolist() == list(range(lo, hi + 1))
         want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
@@ -165,14 +167,14 @@ def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, fl
         assert starts_from_n(k, hi) == from_n
         want = descend(n, 1000, n, **flags) if from_n else grid
         assert want.unresolved.tolist() == grid.unresolved.tolist()
-    assert unresolved.dtype == want.unresolved.dtype
-    assert unresolved.tolist() == want.unresolved.tolist()
-    for name, col in cols.items():
-        wanted = getattr(want, name)
+    assert got.unresolved.dtype == want.unresolved.dtype
+    assert got.unresolved.tolist() == want.unresolved.tolist()
+    for name in ("steps", "drop", "peak", "kappa"):
+        col, wanted = getattr(got, name), getattr(want, name)
         if wanted is None:
             assert col is None
             continue
-        assert [len(getattr(d, name)) for _, _, d in got] == sizes
+        assert len(col) == size
         assert col.dtype == wanted.dtype
         assert col.tolist() == wanted.tolist()
 
@@ -249,6 +251,18 @@ def test_peak_is_object_only_past_int64():
         for i, n in enumerate(ns):
             assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
     assert d.peak[2] > np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("starts, threshold", [
+    (np.array([2**30 + 3], dtype=np.int32), None),
+    (np.array([27], dtype=np.uint64), None),
+    (np.array([27.0]), None),
+    (np.array([27], dtype=np.int64), np.array([27], dtype=np.int32)),
+], ids=["int32", "uint64", "float64", "int32-threshold"])
+def test_descend_refuses_starts_and_thresholds_not_int64(starts, threshold):
+    # in int32, 3x + 1 wraps: 2^30 + 3 would report peak 0, not 2,415,919,112
+    with pytest.raises(TypeError, match="int64"):
+        descend(starts, 1000, threshold, peak=True)
 
 
 def test_start_below_threshold_steps_alike_past_guard():
@@ -394,8 +408,8 @@ def test_bare_descend_matches_single_steps(cases, step_limit):
 
 
 def descend_jumps_unchunked(starts, step_limit, thr):
-    """The former `kernel._descend_jumps`: every jump on the whole batch,
-    with no chunks and no pool."""
+    """The former `kernel._descend_jumps`: every jump on all the starts at
+    once, with no chunks and no pool."""
     limit = (GUARD // 3**K) << K  # a jump from v <= limit stays <= GUARD + 3^K
     single = thr <= 2
     idx = np.flatnonzero(~single)
@@ -420,7 +434,7 @@ def descend_jumps_unchunked(starts, step_limit, thr):
     return rerun[steps.unresolved]
 
 
-def grid_batch(size, step_limit, kind):
+def grid_starts(size, step_limit, kind):
     """`size` starts drawn near 2, near 10^6, within 2^20 of the jump guard
     and within 2^20 of GUARD, with thresholds n, n // 3, random values in
     {1, 2, 3}, or n with 2 on every fifth start (kind 0 to 3)."""
@@ -442,7 +456,7 @@ GRID_STEP_LIMITS = (0, 7, 8, 31, 32, 33, 40, 1000, 10**5)
                                   2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 6 * CHUNK + 5])
 def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
     for step_limit in GRID_STEP_LIMITS:
-        starts, _ = grid_batch(size, step_limit, 0)
+        starts, _ = grid_starts(size, step_limit, 0)
         want = descend_jumps_unchunked(starts, step_limit, starts)
         assert np.array_equal(descend(starts, step_limit).unresolved, want)
     # thresholds 0 and 1 keep the single-step fallback going to the step
@@ -459,7 +473,7 @@ def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
     monkeypatch.setattr(kernel, "_descend", give_up_on_reruns)
     for step_limit in GRID_STEP_LIMITS:
         for kind in range(4):
-            starts, thr = grid_batch(size, step_limit, kind)
+            starts, thr = grid_starts(size, step_limit, kind)
             want = descend_jumps_unchunked(starts, step_limit, thr)
             assert np.array_equal(descend(starts, step_limit, thr).unresolved, want)
 
@@ -467,7 +481,7 @@ def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
 def test_bare_descent_keeps_no_batch_long_column():
     # a bare descent holds one chunk, the pooled survivors and the indices
     # it hands to single steps, with no column per start: its traced peak
-    # stays well below one int64 column of the batch (16 MiB)
+    # stays well below one int64 column of its 2^21 starts (16 MiB)
     starts = np.arange(2, 2**21 + 2)
     tracemalloc.start()
     descend(starts, 10**5)
@@ -477,14 +491,26 @@ def test_bare_descent_keeps_no_batch_long_column():
 
 
 def test_naive_sweep_builds_no_batch_long_array():
-    # the starts and thresholds of a `descend_range` batch are computed one
-    # chunk at a time, so a naive sweep of one 2^21 batch holds no int64
-    # column of it (a batch-long arange alone is 16 MiB)
+    # the starts and thresholds of a `descend_range` call are computed one
+    # chunk at a time, so a naive sweep of 2^21 numbers holds no int64
+    # column of them (a range-long arange alone is 16 MiB)
     tracemalloc.start()
     verify_range(2**21, mode="naive")
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_below_power_density_bounds_its_pool():
+    # with thresholds ceil(sqrt n) most of the 999,999 starts outlive the
+    # 32-step head; the pool is flushed every 2^18 starts and the rerun
+    # reads its starts chunk by chunk, so the traced peak stays far below
+    # the 62 MiB of a pool that holds the whole range
+    tracemalloc.start()
+    below_power_density(Fraction(1, 2), 10**6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_kappa_descent_keeps_only_its_output_columns():
@@ -585,22 +611,29 @@ def test_survivor_stream_matches_the_survivor_grid(monkeypatch, k, lo, hi, guard
     # grid's, with its two kinds of start, and so are the peaks where no
     # T^k(n) could pass GUARD; where one could, every candidate starts at
     # n, and its peaks are those of a descent from n.  With step_limit < k
-    # the grid asks for no peak, and every unresolved candidate reads 0
+    # the grid asks for no peak, and every unresolved candidate reads 0.
+    # The stream runs with 16-start chunks and a 64-start pool, which a
+    # span of over 1,000 candidates flushes more than once at the larger
+    # step limits; the oracles run at full size
     if guard:
         monkeypatch.setattr(kernel, "GUARD", guard)
     sieve = class_sieve(k)
+    flushed = 0
     for step_limit in (0, k - 1, k, k + 1, 60, 1000):
         n, want = survivor_grid(lo, hi, sieve, step_limit, peak)
-        got, unresolved, cols = joined(kernel.descend_range(lo, hi, step_limit, sieve=sieve,
-                                                            peak=peak))
-        assert got.tolist() == n.tolist()
-        assert unresolved.tolist() == want.unresolved.tolist()
+        with monkeypatch.context() as small:
+            flushes = small_pool(small)
+            size, n_at, got = kernel.descend_range(lo, hi, step_limit, sieve=sieve, peak=peak)
+        flushed = max(flushed, most_flushes(flushes))
+        assert n_at(np.arange(size)).tolist() == n.tolist()
+        assert got.unresolved.tolist() == want.unresolved.tolist()
         if peak:
             if starts_from_n(k, hi):
                 want = descend(n, step_limit, n, peak=True)
             peaks = np.zeros(len(n), dtype=np.int64) if want.peak is None else want.peak
-            assert cols["peak"].dtype == peaks.dtype
-            assert cols["peak"].tolist() == peaks.tolist()
+            assert got.peak.dtype == peaks.dtype
+            assert got.peak.tolist() == peaks.tolist()
+    assert flushed > 1 or len(n) <= 1000
 
 
 def test_parallel_sieved_spans_match_the_survivor_grid():

@@ -440,7 +440,7 @@ def test_excursion_bound_violation_is_reported(monkeypatch):
 
     def planted(size, at, *args):
         d = real(size, at, *args)
-        if at.__qualname__.startswith("descend_range."):  # a batch of `descend_range`
+        if at.__qualname__.startswith("descend_range."):  # the entry call of `descend_range`
             d.peak[at(np.arange(size))[1] == n0] = 8 * n0 * n0 + 1
         return d
 
