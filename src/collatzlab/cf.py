@@ -9,7 +9,7 @@ the shared fixed-point constants carry proven two-sided error bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,7 +120,6 @@ class ContinuedFraction:
     quotients: list[int]
     value: Fraction | None = None
     power_certified_depth: int = 0
-    _conv: list[tuple[int, int]] = field(default_factory=list, repr=False)
 
     @property
     def depth(self) -> int:
@@ -128,16 +127,14 @@ class ContinuedFraction:
 
     def convergents(self) -> list[tuple[int, int]]:
         """Exact convergent pairs (p_k, q_k) via the standard recurrence."""
-        if len(self._conv) != len(self.quotients):
-            pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-            conv = []
-            for a in self.quotients:
-                pk = a * pm1 + pm2
-                qk = a * qm1 + qm2
-                conv.append((pk, qk))
-                pm2, pm1, qm2, qm1 = pm1, pk, qm1, qk
-            self._conv = conv
-        return list(self._conv)
+        pm1, pm2, qm1, qm2 = 1, 0, 0, 1
+        conv = []
+        for a in self.quotients:
+            pk = a * pm1 + pm2
+            qk = a * qm1 + qm2
+            conv.append((pk, qk))
+            pm2, pm1, qm2, qm1 = pm1, pk, qm1, qk
+        return conv
 
     def convergents_with_intermediates(self) -> list[tuple[int, int]]:
         """Convergents plus intermediate convergents, ascending denominators.

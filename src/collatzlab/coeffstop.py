@@ -7,7 +7,8 @@ time, and the conjecture that the two always agree is checked here by the
 classical route: a disagreement at (a, k) forces n <= B / (2^k - 3^a) for
 an additive term B built from a prefix-dominating parity word, so maximal
 B values over all dangerous exponent pairs produce a finite search bound
-that a direct sweep then clears.
+that a direct sweep then clears.  The same maxima, over the pairs with
+k <= the sieve exponent, give stats.class_sieve its exceptional bound.
 """
 
 from __future__ import annotations

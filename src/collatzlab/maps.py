@@ -6,7 +6,10 @@ trees.reach_count, stats.stats_record (and so stats.height_and_total_stop),
 coeffstop.coeff_stop_record and the replay of cycles.rational_cycles_3xd
 follow.  It keeps the path, so a cycle is certified at its first repeated
 iterate, and it applies the one limit policy: a step limit and a magnitude
-limit, past which the orbit is unresolved.
+limit, past which the orbit is unresolved.  One memoised sweep over it,
+_fates, gives every point of a range its fate (the cycle catalogue of
+find_cycles, the reachability of trees.reach_count): each walk stops at
+the first point whose fate is known.
 
 Residues always use mathematical mod (0 <= r < d), so maps act on negative
 integers the way the cycle catalogue expects ({-1}, {-5,-7,-10} and the
@@ -563,6 +566,37 @@ class CycleSearchResult:
         return {c.min_element: c for c in self.cycles}
 
 
+def _fates(map_spec: MapSpec, starts: Iterable[int], span: Container[int],
+           fate: dict, on_cycle: Callable, step_limit: int, magnitude_limit: int):
+    """The memoised sweep of find_cycles and trees.reach_count.
+
+    Walks each in-domain start not yet in fate with _walk, stopped at any
+    point of fate, and gives every point of its path that lies in span one
+    fate: the stop value's fate, on_cycle(cycle) for a cycle the walk
+    closed (its elements in canonical rotation), or None (unresolved) for
+    a walk that stops at a step or magnitude limit.  A walk that raises
+    MapDomainError gives None to its start alone.  fate is filled in place
+    and is the stop set of every later walk, so the sweep is near-linear
+    for contracting maps.
+    """
+    for s in starts:
+        if s in fate or not map_spec.in_domain(s):
+            continue
+        try:
+            path, pos, v = _walk(map_spec, s, fate, step_limit, magnitude_limit)
+        except MapDomainError:
+            path, pos, v = [s], {}, None
+        if v in fate:
+            outcome = fate[v]
+        elif v in pos:
+            outcome = on_cycle(_canonical_rotation(path[pos[v]:]))
+        else:
+            outcome = None
+        for u in path:
+            if u in span:
+                fate[u] = outcome
+
+
 def find_cycles(
     map_spec: MapSpec,
     search_range: tuple[int, int],
@@ -572,40 +606,22 @@ def find_cycles(
 ) -> CycleSearchResult:
     """All cycles whose orbit intersects [lo, hi] within the limits.
 
-    Starts are walked by _walk in order of (|s|, s), stopped at any in-range
-    point whose fate is already known.  Each walk then records its fate, a
-    cycle or None (unresolved), for every in-range point on its path, so the
-    sweep is near-linear for contracting maps.  A walk that stops at a step
-    or magnitude limit, or raises MapDomainError, leaves its start
-    unresolved; unresolved starts are reported, never dropped.  Cycles are
-    deduplicated by canonical rotation.
+    One _fates sweep over the starts in order of (|s|, s) records the fate,
+    a cycle or None (unresolved), of every in-domain point of [lo, hi]; a
+    closed cycle joins the catalogue, deduplicated by canonical rotation.
+    A start whose walk stops at a step or magnitude limit, or raises
+    MapDomainError, is unresolved; unresolved starts are reported, never
+    dropped.
     """
     lo, hi = search_range
     if lo > hi:
         raise MapError("search range must satisfy lo <= hi")
     label = getattr(map_spec, "label", "")
+    span = range(lo, hi + 1)
     fate: dict[int, Optional[CycleRecord]] = {}
     cycles: dict[tuple[int, ...], CycleRecord] = {}
-    unresolved: list[int] = []
-    for s in sorted(range(lo, hi + 1), key=lambda v: (abs(v), v)):
-        if s not in fate:
-            if not map_spec.in_domain(s):
-                continue
-            try:
-                path, pos, v = _walk(map_spec, s, fate, step_limit, magnitude_limit)
-            except MapDomainError:
-                path, pos, v = [s], {}, None
-            if v in fate:
-                outcome = fate[v]
-            elif v in pos:
-                rec = CycleRecord(_canonical_rotation(path[pos[v]:]), label)
-                outcome = cycles.setdefault(rec.elements, rec)
-            else:
-                outcome = None
-            for u in path:
-                if lo <= u <= hi:
-                    fate[u] = outcome
-        if fate[s] is None:
-            unresolved.append(s)
+    _fates(map_spec, sorted(span, key=lambda v: (abs(v), v)), span, fate,
+           lambda c: cycles.setdefault(c, CycleRecord(c, label)), step_limit, magnitude_limit)
+    unresolved = sorted(s for s, f in fate.items() if f is None)
     ordered = sorted(cycles.values(), key=lambda c: (abs(c.min_element), c.min_element))
-    return CycleSearchResult(ordered, sorted(unresolved), (lo, hi))
+    return CycleSearchResult(ordered, unresolved, (lo, hi))

@@ -38,11 +38,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from . import kernel
+from .coeffstop import _crossing_maxima
 from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
 
 SIEVE_K_MAX = 26
@@ -168,10 +170,12 @@ def class_sieve(k: int) -> ClassSieve:
 
     The sieve is `kernel.lift` with only the survivors lifted further, so
     each level takes one T-step per lift of a survivor instead of one per
-    residue.  The offset is read on the dropped rows alone, from
-    T^j(r) = (3^a r + B) / 2^j as B = 2^j T^j(r) - 3^a r.  int64 cannot
-    overflow there: a dropped row has 3^a < 2^j <= 2^26 and
-    0 <= B < 3^a 2^(j-a), so 2^j T^j(r) = 3^a r + B < 2 * 3^a 2^j < 2^53.
+    residue.  max_threshold, the largest B // (2^j - 3^a) over the
+    eliminated classes, comes from `coeffstop._crossing_maxima(k)`, one
+    walk along the floor a_min(j) (Terras 1976; Everett 1977), not from
+    the classes: a class eliminated at step j has the single crossing a of
+    j and B <= B_max(a, j), the class of the latest-odd-step word attains
+    B_max(a, j), and floor division is monotone in B.
 
     The sieve keeps the state each survivor r has at level k: its image
     T^k(r) < 3^k and pow3 = 3^a(r) <= 3^k, both below 2^42.  Every member
@@ -180,18 +184,16 @@ def class_sieve(k: int) -> ClassSieve:
     """
     if not 1 <= k <= SIEVE_K_MAX:
         raise ValueError(f"sieve exponent must be in 1..{SIEVE_K_MAX}")
-    counts, thresholds = [], [0]
+    counts = []
 
     def keep(j, r, v, p):
-        gap = (1 << j) - p
-        dropped = gap > 0
-        B = (v[dropped] << j) - p[dropped] * r[dropped]
-        thresholds.append(int((B // gap[dropped]).max(initial=0)))
-        counts.append((len(r) - int(dropped.sum())) << (k - j))
-        return ~dropped
+        alive = p > 1 << j
+        counts.append(int(alive.sum()) << (k - j))
+        return alive
 
     survivors, images, pow3, _ = kernel.lift(k, keep)
-    return ClassSieve(k, survivors, counts, max(thresholds), images, pow3)
+    max_threshold = max(B // ((1 << j) - 3**a) for a, j, B in _crossing_maxima(k))
+    return ClassSieve(k, survivors, counts, max_threshold, images, pow3)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +309,7 @@ def stopping_density(k: int) -> Fraction:
     """Exact fraction of residues mod 2^k whose stopping time is <= k."""
     if not 1 <= k <= SIEVE_K_MAX:
         raise ValueError(f"k must be in 1..{SIEVE_K_MAX}")
-    sieve = class_sieve(k)
-    dropped = (1 << k) - len(sieve.survivors)
-    return Fraction(dropped, 1 << k)
+    return 1 - class_sieve(k).survivor_fraction(k)
 
 
 def below_power_density(
@@ -399,21 +399,13 @@ def equal_height_tuples(
     lo, hi = search_range
     if lo < 1 or lo > hi:
         raise ValueError("need 1 <= lo <= hi")
-    ext_lo = max(1, lo - 1)
-    pairs = {n: height_and_total_stop(n) for n in range(ext_lo, hi + 2)}
     runs: list[HeightRun] = []
-    n = lo
-    while n <= hi:
-        cur = pairs[n]
-        m = n
-        while m + 1 <= hi and pairs[m + 1] == cur:
-            m += 1
-        length = m - n + 1
-        left_open = n - 1 >= 1 and pairs.get(n - 1) == cur
-        right_open = pairs.get(m + 1) == cur
-        if length >= min_len and not left_open and not right_open:
+    n = max(1, lo - 1)
+    for cur, run in groupby(range(n, hi + 2), key=height_and_total_stop):
+        length = sum(1 for _ in run)
+        if length >= min_len and lo <= n and n + length <= hi + 1:
             runs.append(HeightRun(n, length, cur[0], cur[1]))
-        n = m + 1
+        n += length
     return runs
 
 

@@ -8,10 +8,11 @@ pure doubling spines), and the pruned tree in which a multiple of 3 is a
 dead end.  Growth-rate statistics traditionally refer to the pruned tree,
 whose mean branching factor is 4/3.
 
-Reachability runs forward, not backward: reach_count walks each start with
-the orbit walker of maps (maps._walk), under the one limit policy of
-trajectory and find_cycles (maps.DEFAULT_STEP_LIMIT and
-DEFAULT_MAGNITUDE_LIMIT, and a start stopped at either is unresolved).
+Reachability runs forward, not backward: reach_count is one run of the
+memoised sweep of find_cycles (maps._fates over the orbit walker
+maps._walk), under the one limit policy of trajectory and find_cycles
+(maps.DEFAULT_STEP_LIMIT and DEFAULT_MAGNITUDE_LIMIT, and a start stopped
+at either is unresolved).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _walk, t_map
+from .maps import DEFAULT_MAGNITUDE_LIMIT, DEFAULT_STEP_LIMIT, _fates, _walk, t_map
 
 
 def preimages(a: int) -> set[int]:
@@ -172,10 +173,9 @@ def extremal_spread(
 def reach_count(a: int, x: int) -> int:
     """pi_a(x): how many n with |n| <= x have a in their forward T orbit.
 
-    One forward sweep over n = -x..x with maps._walk, stopped at the memo:
-    the fate (reaches a or not) of every point with |n| <= x that an
-    earlier walk visited, seeded with a (and with a's whole cycle when a
-    lies on one, found by one walk from a).  A walk that enters a cycle
+    One maps._fates sweep over n = -x..x gives each n its fate, reaches a
+    or not.  The memo is seeded with a (and with a's whole cycle when a
+    lies on one, found by one walk from a), and a walk that closes a cycle
     without meeting a answers no.  Limits are maps.DEFAULT_STEP_LIMIT and
     DEFAULT_MAGNITUDE_LIMIT: a start whose walk stops at either is
     unresolved, and RuntimeError names the first one.
@@ -184,19 +184,14 @@ def reach_count(a: int, x: int) -> int:
         raise ValueError("bound capped at 1e7")
     t = t_map()
     path, pos, v = _walk(t, a, (), DEFAULT_STEP_LIMIT, DEFAULT_MAGNITUDE_LIMIT)
-    memo = dict.fromkeys(path if pos.get(v) == 0 else [a], True)
-    count = 0
-    for n in range(-x, x + 1):
-        path, pos, v = _walk(t, n, memo, DEFAULT_STEP_LIMIT, DEFAULT_MAGNITUDE_LIMIT)
-        if v not in memo and v not in pos:
-            raise RuntimeError(f"reach_count: n={n} is unresolved, its forward run stopped "
-                               f"at a step or magnitude limit after {len(path)} steps")
-        reached = memo.get(v, False)
-        for u in path:
-            if -x <= u <= x:
-                memo[u] = reached
-        count += reached
-    return count
+    fate = dict.fromkeys(path if pos.get(v) == 0 else [a], True)
+    span = range(-x, x + 1)
+    _fates(t, span, span, fate, lambda cycle: False, DEFAULT_STEP_LIMIT, DEFAULT_MAGNITUDE_LIMIT)
+    reached = [fate[n] for n in span]
+    if None in reached:
+        raise RuntimeError(f"reach_count: n={span[reached.index(None)]} is unresolved, its "
+                           "forward run stopped at a step or magnitude limit")
+    return sum(reached)
 
 
 # ---------------------------------------------------------------------------

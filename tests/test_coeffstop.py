@@ -180,6 +180,15 @@ def test_crossing_maxima_match_dp(k_max):
     assert coeffstop._crossing_maxima(k_max) == dominating_offset_maxima_dp(k_max)
 
 
+def test_search_bound_at_the_k_cap_is_below_2_21():
+    # every k_max the public API accepts has a search bound at most this
+    # one (its crossing pairs are a prefix of the cap's), so the coefficient
+    # sweep never reads a range longer than 2^21 numbers
+    bound = max(B // ((1 << k) - 3**a)
+                for a, k, B in coeffstop._crossing_maxima(coeffstop.DEFAULT_K_CAP))
+    assert bound == 620858 < 1 << 21
+
+
 def test_verify_2000_search_bound():
     rep = verify_coefficient_conjecture(2000)
     assert rep.verified and not rep.counterexamples

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzlab import kernel, stats
+from collatzlab.coeffstop import verify_coefficient_conjecture
 from collatzlab.kernel import t_step_int
 from collatzlab.maps import ReachedTarget, t_map, trajectory
 from collatzlab.stats import (
@@ -330,6 +331,33 @@ def test_class_sieve_survivor_counts(k, survivors):
     s = class_sieve(k)
     assert len(s.survivors) == s.survivor_counts[-1] == survivors
     assert s.max_threshold == 24
+
+
+def lifted_max_threshold(k):
+    """Oracle: the per-level threshold pass class_sieve ran before it read
+    its bound from coeffstop._crossing_maxima.  At each level of
+    kernel.lift the offset of every dropped row is read from T^j(r) =
+    (3^a r + B) / 2^j as B = 2^j T^j(r) - 3^a r.  int64 cannot overflow
+    there: a dropped row has 3^a < 2^j <= 2^26 and 0 <= B < 3^a 2^(j-a), so
+    2^j T^j(r) = 3^a r + B < 2 * 3^a 2^j < 2^53."""
+    thresholds = [0]
+
+    def keep(j, r, v, p):
+        gap = (1 << j) - p
+        dropped = gap > 0
+        B = (v[dropped] << j) - p[dropped] * r[dropped]
+        thresholds.append(int((B // gap[dropped]).max(initial=0)))
+        return ~dropped
+
+    kernel.lift(k, keep)
+    return max(thresholds)
+
+
+@pytest.mark.parametrize("k", range(1, 27))
+def test_max_threshold_matches_the_lifted_threshold_pass(k):
+    s = class_sieve(k)
+    assert s.max_threshold == lifted_max_threshold(k)
+    assert verify_coefficient_conjecture(k).search_bound == s.max_threshold
 
 
 def test_below_power_density_high_beta_recount():
