@@ -112,7 +112,7 @@ def rational_cycles_3xd(d: int, max_period: int) -> RationalCycleReport:
             m, B = word_offset("".join(map(str, word)))
             den = (1 << period) - 3**m
             num = d * B
-            if den == 0 or num % den:
+            if num % den:  # den is odd, so never 0
                 continue
             x = num // den
             if x <= 0 or gcd(x, d) != 1:
@@ -165,9 +165,7 @@ def circuit_solutions(
         for l in range(0, l_max + 1):
             den = (1 << (k + l)) - 3**k
             num = (1 << l) - 1
-            if den == 0:
-                continue
-            if num % den:
+            if num % den:  # den is odd, so never 0
                 continue
             h = num // den
             if h_lo <= h <= h_hi:
@@ -265,6 +263,10 @@ def _packed_sum_bounds(n: int, p: int, work_bits: int) -> tuple[int, int]:
 def packed_bound_exceeds(n: int, p: int, D: int) -> bool:
     """Certified decision of best_packed_min_element(n, p) > D.
 
+    (n, p) is first reduced by gcd(n, p): a repeated word has the same
+    minimal element, and so the trivial cycle repeated, with M = 1 = D,
+    lands on (1, 2) in the exact tier rather than in a log-domain tie.
+
     Small n (up to 50,000) gets the exact rational value.  Above that no
     power of 3 is formed; everything is decided from delta = p - n log2 3.
     If delta < 0 then 2^p < 3^n, the cycle denominator 2^p - 3^n is
@@ -278,6 +280,8 @@ def packed_bound_exceeds(n: int, p: int, D: int) -> bool:
     """
     if n < 1 or p < 1:
         raise ValueError("need positive n, p")
+    g = gcd(n, p)
+    n, p = n // g, p // g
     if n <= 50_000:
         if 3**n >= (1 << p):
             return False
@@ -503,7 +507,7 @@ def cycle_length_lower_bound(
     delta64 = (delta >> (FRAC_BITS - 64)) + 2
     n_cap = (period_cutoff * scale) // lo3 + 2
 
-    feasible: list[tuple[int, int]] = []
+    periods: set[int] = set()
     rejections: list[tuple[int, int]] = []
     packed_memo: dict[tuple[int, int], bool] = {}
     min_pair: Optional[tuple[int, int]] = None
@@ -534,7 +538,8 @@ def cycle_length_lower_bound(
         p = window_feasible(nn)
         if p is None:
             continue
-        feasible.append((nn, p))
+        if p <= period_cutoff:
+            periods.add(p)
         if min_pair is None:
             if packed_ok(nn, p):
                 min_pair = (nn, p)
@@ -543,13 +548,11 @@ def cycle_length_lower_bound(
             else:
                 rejections.append((nn, p))
 
-    feasible.sort()
-    periods = sorted({p for _, p in feasible if p <= period_cutoff})
     report = CycleBoundReport(
         verification_bound=D,
         min_odd_terms=min_pair[0] if min_pair else None,
         min_period=min_pair[1] if min_pair else None,
-        feasible_periods=periods,
+        feasible_periods=sorted(periods),
         period_cutoff=period_cutoff,
         scanned_odd_terms=min_pair[0] if first_only and min_pair else n_cap,
         window_constants_hex={
@@ -572,6 +575,8 @@ def linear_combination_witness(
     C, B >= 1 when require_middle, and A*C = 0.  Empty list means all pass.
     """
     g0, g1, g2 = generators
+    if min(generators) <= 0:
+        raise ValueError("generators must be positive")
     periods = sorted(set(periods))
     if not periods:
         return []
@@ -580,14 +585,13 @@ def linear_combination_witness(
     b = 1 if require_middle else 0
     while b * g1 <= top:
         base = b * g1
-        if b >= 1 or not require_middle:
-            a = 0
-            while base + a * g0 <= top:
-                reachable.add(base + a * g0)
-                a += 1
-            c = 0
-            while base + c * g2 <= top:
-                reachable.add(base + c * g2)
-                c += 1
+        a = 0
+        while base + a * g0 <= top:
+            reachable.add(base + a * g0)
+            a += 1
+        c = 0
+        while base + c * g2 <= top:
+            reachable.add(base + c * g2)
+            c += 1
         b += 1
     return [p for p in periods if p not in reachable]

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from typing import Callable, Container, Iterable, Optional
 
 
@@ -101,46 +101,33 @@ class ResidueAffineMap:
 class CeilingMap:
     """Odd x -> ceil(beta*x), even x -> x/2, on x >= 1.
 
-    beta is exact: a Fraction, sqrt(k) for integer k, or a decimal string
-    with explicit precision (the ceiling is certified against the implied
-    interval and refusal is an error rather than a silent rounding).
+    beta is exact in one of two forms.  sqrt_of = k >= 2 makes it sqrt(k),
+    and ceil(sqrt(k) x) = isqrt(k x^2 - 1) + 1.  Otherwise beta lies in the
+    certified interval lo <= beta <= hi (lo == hi for a Fraction, and
+    hi = lo + 10^-d for a decimal with d digits after the point): step
+    returns ceil(lo x) only where ceil(hi x) agrees, and refusal is an error
+    rather than a silent rounding.
     """
 
-    kind: str  # "rational" | "sqrt" | "decimal"
-    num: int = 0
-    den: int = 1
+    lo: Fraction = Fraction(0)
+    hi: Fraction = Fraction(0)
     sqrt_of: int = 0
-    digits: str = ""
     label: str = ""
 
     def in_domain(self, x: int) -> bool:
         return x >= 1
-
-    def _ceil_mul(self, x: int) -> int:
-        if self.kind == "rational":
-            return -((-self.num * x) // self.den)
-        if self.kind == "sqrt":
-            s = isqrt(self.sqrt_of * x * x)
-            return s if s * s == self.sqrt_of * x * x else s + 1
-        # decimal string with fixed precision: certified interval ceiling
-        digits = self.digits
-        point = digits.index(".") if "." in digits else len(digits)
-        scale = 10 ** (len(digits) - point - 1) if "." in digits else 1
-        mant = int(digits.replace(".", ""))
-        lo, hi = mant * x, (mant + 1) * x
-        clo, chi = -((-lo) // scale), -((-hi) // scale)
-        if clo != chi:
-            raise MapDomainError(
-                f"beta precision insufficient to certify ceil(beta*x)", x
-            )
-        return clo
 
     def step(self, x: int) -> int:
         if x < 1:
             raise MapDomainError("ceiling map defined on x >= 1", x)
         if x % 2 == 0:
             return x // 2
-        return self._ceil_mul(x)
+        if self.sqrt_of:
+            return isqrt(self.sqrt_of * x * x - 1) + 1
+        c = ceil(self.lo * x)
+        if c != ceil(self.hi * x):
+            raise MapDomainError("beta precision insufficient to certify ceil(beta*x)", x)
+        return c
 
 
 @dataclass(frozen=True)
@@ -267,23 +254,25 @@ def queneau_spiral(n: int) -> ResidueAffineMap:
 
 
 def beta_map(spec: str) -> CeilingMap:
+    """The ceiling map of beta > 1, given as sqrt:<k>, a decimal with
+    explicit precision, or any other string that Fraction parses."""
     spec = spec.strip()
     if spec.startswith("sqrt:"):
         k = int(spec[5:])
         if k < 2:
             raise MapError("beta sqrt argument must be >= 2")
-        return CeilingMap(kind="sqrt", sqrt_of=k, label=f"beta:sqrt:{k}")
-    if "." in spec:
-        if not re.fullmatch(r"\d+\.\d+", spec):
-            raise MapError(f"bad decimal beta: {spec!r}")
-        return CeilingMap(kind="decimal", digits=spec, label=f"beta:{spec}")
-    frac = Fraction(spec)
-    if frac <= 1:
+        return CeilingMap(sqrt_of=k, label=f"beta:sqrt:{k}")
+    if "." in spec and not re.fullmatch(r"\d+\.\d+", spec):
+        raise MapError(f"bad decimal beta: {spec!r}")
+    try:
+        lo = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise MapError(f"bad beta: {spec!r}") from None
+    if lo <= 1:
         raise MapError("beta must exceed 1")
-    return CeilingMap(
-        kind="rational", num=frac.numerator, den=frac.denominator,
-        label=f"beta:{spec}",
-    )
+    digits = len(spec.partition(".")[2])
+    hi = lo + Fraction(1, 10**digits) if digits else lo
+    return CeilingMap(lo, hi, label=f"beta:{spec}")
 
 
 # ---------------------------------------------------------------------------

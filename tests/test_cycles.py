@@ -1,6 +1,7 @@
 """Cycle values, rational cycles, circuit equation, cycle-length bounds."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +283,24 @@ def test_linear_combination_witness():
     assert linear_combination_witness([17087916], gens) == [17087916]
 
 
+@pytest.mark.parametrize("gens", [(0, 5, 8), (5, 0, 8), (5, 8, 0), (-1, 5, 8), (5, 8, -3)])
+def test_linear_combination_witness_refuses_nonpositive_generators(gens):
+    # a generator <= 0 never passes the top period, so the walk would not end
+    with pytest.raises(ValueError, match="positive"):
+        linear_combination_witness([5, 8, 13], gens)
+
+
+def test_feasible_period_scan_keeps_only_the_periods():
+    # past n ~ 2 * 10^4 every n is window-feasible at D = 10^4; a list of
+    # (n, p) pairs for the ~630,000 n peaked at 97.7 MiB
+    tracemalloc.start()
+    rep = cycle_length_lower_bound(10**4, period_cutoff=10**6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 60 * 2**20
+    assert (rep.min_odd_terms, rep.min_period) == (253, 401)
+
+
 def test_packed_min_element_brute_force():
     # the balanced packing maximizes the minimal cycle element: check against
     # exhaustive enumeration of all cyclic parity words
@@ -422,12 +441,14 @@ def packed_floor(n, p):
 
 
 def test_packed_bound_interval_matches_exact():
-    # the last six pairs have n in 50,001..65,000; 63069 has the least
-    # delta > 0 there, 90344 puts delta above 1 (past the n/(6 delta)
-    # bracket) and 90342 below 0
+    # the last eight pairs have n in 50,001..65,000; 63069 has the least
+    # delta > 0 there.  (57000, 90344) and (57000, 90342) reduce by their
+    # gcd (8 and 6) into the exact tier; the coprime (57001, 90346) puts
+    # delta above 1 (past the n/(6 delta) bracket) and (57001, 90344) below 0
     for n, p in ((3, 5), (5, 8), (12, 20), (41, 65), (306, 485), (15601, 24727),
                  (190537, 301994), (50001, 79250), (57000, 90343), (63069, 99962),
-                 (64999, 103021), (57000, 90344), (57000, 90342)):
+                 (64999, 103021), (57000, 90344), (57000, 90342), (57001, 90346),
+                 (57001, 90344)):
         if 3**n > 1 << p:
             for D in (1, 2, 10**6, 2**40):
                 assert not packed_bound_exceeds(n, p, D)
@@ -468,3 +489,15 @@ def test_log2_decision_against_exact_value():
                 else:
                     assert _packed_exceeds_log2(n, p, D) == (m > D)
     assert ties == 30
+
+
+def test_packed_bound_reduces_repeated_words():
+    # (60000, 120000) is the trivial cycle's word repeated, with M = 1 = D:
+    # a tie that no log-domain bracket separates, decided exactly at (1, 2)
+    assert not packed_bound_exceeds(60000, 120000, 1)
+    assert not packed_bound_exceeds(2, 4, 1)
+    for n0, p0 in ((1, 2), (3, 5), (5, 8)):
+        m = best_packed_min_element(n0, p0)
+        for k in (1, 2, 20001, 60000):
+            for D in {1, int(m), int(m) + 1}:
+                assert packed_bound_exceeds(k * n0, k * p0, D) == (m > D)

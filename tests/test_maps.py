@@ -1,5 +1,8 @@
 """Map parsing, stepping, trajectories, and cycle search."""
 
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -212,6 +215,65 @@ def test_beta_map_decimal_precision():
     coarse = parse_map("beta:1.4")
     with pytest.raises(MapDomainError, match="precision"):
         coarse.step(5)  # 7.0 vs 7.5: interval ceiling is ambiguous
+
+
+def ceiling_by_kind(spec, x):
+    """Oracle: the former CeilingMap ceiling on odd x, one branch per kind of
+    beta, each read from the spec as the former beta_map read it."""
+    if spec.startswith("sqrt:"):
+        k = int(spec[5:])
+        s = isqrt(k * x * x)
+        return s if s * s == k * x * x else s + 1
+    if "." not in spec:
+        frac = Fraction(spec)
+        return -((-frac.numerator * x) // frac.denominator)
+    point = spec.index(".")
+    scale = 10 ** (len(spec) - point - 1)
+    mant = int(spec.replace(".", ""))
+    lo, hi = mant * x, (mant + 1) * x
+    clo, chi = -((-lo) // scale), -((-hi) // scale)
+    if clo != chi:
+        raise MapDomainError("beta precision insufficient to certify ceil(beta*x)", x)
+    return clo
+
+
+BETA_SPECS = ["3/2", "5/3", "7/4", "11/7", "sqrt:2", "sqrt:3", "sqrt:4", "sqrt:10", "1.4",
+              "1.5000", "1.41421356", "2.0", "1.7320508075688772", "3.1"]
+
+
+@pytest.mark.parametrize("spec", BETA_SPECS)
+def test_ceiling_map_matches_the_per_kind_oracle(spec):
+    m = parse_map("beta:" + spec)
+    assert m.label == "beta:" + spec
+    refusals = 0
+    for x in range(1, 3001):
+        try:
+            got = m.step(x)
+        except MapDomainError as e:
+            got = ("refused", str(e), e.value)
+        if x % 2 == 0:
+            assert got == x // 2
+            continue
+        try:
+            want = ceiling_by_kind(spec, x)
+        except MapDomainError as e:
+            want = ("refused", str(e), e.value)
+            refusals += 1
+        assert got == want, x
+    # below 3000 only the one-digit decimals are ever too coarse
+    assert (refusals > 0) == (spec in ("1.4", "2.0", "3.1"))
+
+
+@pytest.mark.parametrize("spec", ["0.5", "1.0", "3/0", "abc", "1", "1.5.0"])
+def test_beta_map_refuses_beta_not_above_one_or_unparsable(spec):
+    with pytest.raises(MapError):
+        parse_map("beta:" + spec)
+
+
+def test_beta_map_accepts_a_decimal_just_above_one():
+    m = parse_map("beta:1.0001")
+    assert m.step(2) == 1
+    assert m.step(1) == 2  # ceil of 1.0001 and of 1.0002
 
 
 def test_queneau_domain():
