@@ -31,7 +31,7 @@ def _mantissa_interval(p: int, q: int, work: int) -> tuple[int, int, int]:
     """Return (e, lo, hi) with q*2^e <= p < q*2^(e+1) and
     lo/2^work <= (p/q)/2^e <= hi/2^work, hi - lo <= 1."""
     e = p.bit_length() - q.bit_length()
-    if (q << e if e >= 0 else q >> -e) > p:
+    if q << max(e, 0) > p << max(-e, 0):  # q 2^e > p, in integers
         e -= 1
     if e >= 0:
         num, den = p << work, q << e

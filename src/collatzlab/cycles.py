@@ -183,9 +183,12 @@ def best_packed_min_element(n: int, p: int) -> Fraction:
     packing) maximizes the minimal element, whose exact value is
     sum_i 3^(n-1-i) 2^(c_i) / (2^p - 3^n).
 
-    Exact; intended for moderate n (the certified interval variant below
-    scales to n in the tens of millions).
+    Exact; packed_bound_exceeds reaches it only to settle a tie M == D,
+    which no certified bracket can (_packed_sum_bounds scales to n in the
+    tens of millions).
     """
+    if n < 1 or p < 1:
+        raise ValueError("need positive n, p")
     den = (1 << p) - 3**n
     if den <= 0:
         raise ValueError("need 2^p > 3^n")
@@ -261,63 +264,59 @@ def _packed_sum_bounds(n: int, p: int, work_bits: int) -> tuple[int, int]:
 
 
 def packed_bound_exceeds(n: int, p: int, D: int) -> bool:
-    """Certified decision of best_packed_min_element(n, p) > D.
+    """Certified decision of best_packed_min_element(n, p) > D, for D >= 1.
 
     (n, p) is first reduced by gcd(n, p): a repeated word has the same
-    minimal element, and so the trivial cycle repeated, with M = 1 = D,
-    lands on (1, 2) in the exact tier rather than in a log-domain tie.
-
-    Small n (up to 50,000) gets the exact rational value.  Above that no
-    power of 3 is formed; everything is decided from delta = p - n log2 3.
-    If delta < 0 then 2^p < 3^n, the cycle denominator 2^p - 3^n is
-    negative and no positive cycle exists, so the answer is False.
-
-    Every term of the packed sum is within a factor of two of 3^(n-1) (the
-    halving staircase stays within one unit of the line i*p/n, whose slope
-    is at least log2 3), so M sits between n/(6 delta) and n/delta.  That
-    bracket settles pairs far from the threshold.  The rest go to
-    _packed_exceeds_log2, which decides M > D exactly in the log domain.
+    minimal element.  The decision is _packed_exceeds_log2, which forms no
+    power of 3.  It raises only on a tie M == D (the trivial cycle (1, 2) at
+    D = 1), or where no precision separates its brackets; only then is M
+    formed exactly.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need positive n, p")
+    if n < 1 or p < 1 or D < 1:
+        raise ValueError("need positive n, p, D")
     g = gcd(n, p)
     n, p = n // g, p // g
-    if n <= 50_000:
-        if 3**n >= (1 << p):
-            return False
-        return best_packed_min_element(n, p) > Fraction(D)
-    lo3, hi3 = log2_3_fixed(FRAC_BITS)
-    scale = 1 << FRAC_BITS
-    d_lo = p * scale - n * hi3          # lower bound on delta, scaled
-    d_hi = p * scale - n * lo3
-    if 0 < d_lo and d_hi < scale:  # 0 < delta < 1: bracket constants are valid
-        if 6 * D * d_hi < n * scale:
-            return True               # M > n/(6 delta) > D
-        if D * d_lo >= n * scale:
-            return False              # M <= n/delta <= D
-    return _packed_exceeds_log2(n, p, D)
+    try:
+        return _packed_exceeds_log2(n, p, D)
+    except ArithmeticError:
+        return 3**n < (1 << p) and best_packed_min_element(n, p) > D
 
 
 def _packed_exceeds_log2(n: int, p: int, D: int) -> bool:
     """M > D for M = best_packed_min_element(n, p), from fixed-point
-    brackets of width about n/2^w at w = 320, 640 and 1280 bits.
+    brackets of delta = p - n log2 3 at w = 320, 640 and 1280 bits.
 
-    With Q = S / 3^(n-1) and 2^p - 3^n = 3^n (2^delta - 1),
+    If delta < 0 then 2^p < 3^n, the cycle denominator 2^p - 3^n is
+    negative and no positive cycle exists, so the answer is False.
+
+    For 0 < delta < 1 a bracket on M comes first.  Every term of the packed
+    sum is within a factor of two of 3^(n-1) (the halving staircase stays
+    within one unit of the line i*p/n, whose slope is at least log2 3), so
+    n/(6 delta) <= M < n/delta.  That settles pairs far from the threshold,
+    and never a tie: M is rational and n/delta is not, so its False side
+    has M < D.
+
+    Otherwise, with Q = S / 3^(n-1) and 2^p - 3^n = 3^n (2^delta - 1),
     M = Q / (3 (2^delta - 1)).  So for delta > 0, M > D holds exactly when
-    delta < log2(1 + Q/(3D)) = log2((3D 2^w + Q 2^w) / (3D 2^w)).  delta
-    is bracketed from log2_3_fixed(w), Q 2^w by _packed_sum_bounds, and
-    the right-hand side by log2_bounds, which is increasing in Q.  One
-    bracket [L, L + 1) at q_lo serves both ends when q_hi - q_lo <= 2D:
-    since t = 3D 2^w and ln(1 + u) <= u, the rest of the way to q_hi adds
-    log2((t + q_hi)/(t + q_lo)) 2^w <= (q_hi - q_lo)/(3D ln 2) < 1, so the
-    right-hand side at q_hi is below L + 2.  If M == D, or no precision
-    separates the brackets, ArithmeticError.
+    delta < log2(1 + Q/(3D)) = log2((3D 2^w + Q 2^w) / (3D 2^w)).  Q 2^w is
+    bracketed by _packed_sum_bounds, and the right-hand side by log2_bounds,
+    which is increasing in Q.  One bracket [L, L + 1) at q_lo serves both
+    ends when q_hi - q_lo <= 2D: since t = 3D 2^w and ln(1 + u) <= u, the
+    rest of the way to q_hi adds log2((t + q_hi)/(t + q_lo)) 2^w <=
+    (q_hi - q_lo)/(3D ln 2) < 1, so the right-hand side at q_hi is below
+    L + 2.  If M == D, or no precision separates the brackets,
+    ArithmeticError.
     """
     for w in (320, 640, 1280):
         lo3, hi3 = log2_3_fixed(w)
         d_lo, d_hi = (p << w) - n * hi3, (p << w) - n * lo3  # d_lo < delta 2^w <= d_hi
         if d_hi <= 0:
             return False  # delta < 0: no positive cycle value
+        if 0 < d_lo and d_hi < 1 << w:  # 0 < delta < 1
+            if 6 * D * d_hi < n << w:
+                return True  # M >= n/(6 delta) > D
+            if D * d_lo >= n << w:
+                return False  # M < n/delta <= D
         q_lo, q_hi = _packed_sum_bounds(n, p, w)
         t = (3 * D) << w
         r_lo, r_hi = log2_bounds(t + q_lo, t, w)
@@ -509,7 +508,6 @@ def cycle_length_lower_bound(
 
     periods: set[int] = set()
     rejections: list[tuple[int, int]] = []
-    packed_memo: dict[tuple[int, int], bool] = {}
     min_pair: Optional[tuple[int, int]] = None
     exact_checks = 0
 
@@ -527,13 +525,6 @@ def cycle_length_lower_bound(
                     return cand
         return None
 
-    def packed_ok(nn: int, p: int) -> bool:
-        g = gcd(nn, p)
-        key = (nn // g, p // g)  # equal minimal elements along repeated words
-        if key not in packed_memo:
-            packed_memo[key] = packed_bound_exceeds(*key, D)
-        return packed_memo[key]
-
     for nn in _window_candidates(theta64, delta64 + 3, 1, n_cap):
         p = window_feasible(nn)
         if p is None:
@@ -541,7 +532,7 @@ def cycle_length_lower_bound(
         if p <= period_cutoff:
             periods.add(p)
         if min_pair is None:
-            if packed_ok(nn, p):
+            if packed_bound_exceeds(nn, p, D):
                 min_pair = (nn, p)
                 if first_only:
                     break

@@ -54,6 +54,8 @@ class FractranProgram:
 
     def registers(self, value: int) -> tuple[dict[int, int], int]:
         """Exponent view of value over the program primes, plus cofactor."""
+        if value < 1:
+            raise ValueError("machine value must be >= 1")
         regs = {}
         rest = value
         for p in self.primes:

@@ -1,6 +1,8 @@
 """Continued-fraction and fixed-point logarithm checks."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -135,3 +137,17 @@ def test_log2_bounds_exact_for_powers():
     assert lo <= 3 * 2**64 < hi or lo == 3 * 2**64
     lo, hi = log2_bounds(1, 2, 64)
     assert lo <= -(2**64) <= hi
+
+
+def test_log2_bounds_certified_below_one():
+    # lo/2^6 <= log2(p/q) < hi/2^6 as 2^lo <= (p/q)^64 < 2^hi, in exact
+    # integers; p < q once had the exponent one too high, e.g. (-256, -255)
+    # for log2(1/3) 2^8 = -405.75
+    assert log2_bounds(1, 3, 8) == (-406, -405)
+    for p, q in itertools.product(range(1, 60), repeat=2):
+        if gcd(p, q) != 1:
+            continue
+        lo, hi = log2_bounds(p, q, 6)
+        assert hi - lo == 1
+        assert p**64 << max(-lo, 0) >= q**64 << max(lo, 0)
+        assert p**64 << max(-hi, 0) < q**64 << max(hi, 0)

@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzlab.cf import FRAC_BITS, log2_3_fixed, log2_with_reciprocal_fixed
+from collatzlab import cycles
 from collatzlab.cycles import (
     _band_hits,
     _first_multiple_hit,
@@ -440,15 +442,19 @@ def packed_floor(n, p):
     return m
 
 
+# the last eight pairs have n in 50,001..65,000, above the exact tier of
+# packed_bound_tiers; 63069 has the least delta > 0 there.  (57000, 90344)
+# and (57000, 90342) reduce by their gcd (8 and 6) to n = 7125 and 9500;
+# the coprime (57001, 90346) puts delta above 1 (past the n/(6 delta)
+# bracket) and (57001, 90344) below 0
+PACKED_PAIRS = ((3, 5), (5, 8), (12, 20), (41, 65), (306, 485), (15601, 24727),
+                (190537, 301994), (50001, 79250), (57000, 90343), (63069, 99962),
+                (64999, 103021), (57000, 90344), (57000, 90342), (57001, 90346),
+                (57001, 90344))
+
+
 def test_packed_bound_interval_matches_exact():
-    # the last eight pairs have n in 50,001..65,000; 63069 has the least
-    # delta > 0 there.  (57000, 90344) and (57000, 90342) reduce by their
-    # gcd (8 and 6) into the exact tier; the coprime (57001, 90346) puts
-    # delta above 1 (past the n/(6 delta) bracket) and (57001, 90344) below 0
-    for n, p in ((3, 5), (5, 8), (12, 20), (41, 65), (306, 485), (15601, 24727),
-                 (190537, 301994), (50001, 79250), (57000, 90343), (63069, 99962),
-                 (64999, 103021), (57000, 90344), (57000, 90342), (57001, 90346),
-                 (57001, 90344)):
+    for n, p in PACKED_PAIRS:
         if 3**n > 1 << p:
             for D in (1, 2, 10**6, 2**40):
                 assert not packed_bound_exceeds(n, p, D)
@@ -471,8 +477,8 @@ def test_packed_bound_interval_matches_exact():
 
 
 def test_log2_decision_against_exact_value():
-    # the n > 50,000 decision, run at small n where M is exact; M == D has
-    # no verdict, e.g. M = 1 for every (k, 2k), the trivial cycle repeated
+    # the log-domain decision alone, at small n where M is exact; M == D
+    # has no verdict, e.g. M = 1 for every (k, 2k), the trivial cycle repeated
     ties = 0
     for n in range(1, 31):
         p0 = (3**n).bit_length()
@@ -501,3 +507,65 @@ def test_packed_bound_reduces_repeated_words():
         for k in (1, 2, 20001, 60000):
             for D in {1, int(m), int(m) + 1}:
                 assert packed_bound_exceeds(k * n0, k * p0, D) == (m > D)
+
+
+def packed_bound_tiers(n, p, D):
+    """The three-tier packed_bound_exceeds that one log-domain path
+    replaced: exact rationals up to n = 50,000, then the n/(6 delta) ..
+    n/delta bracket at FRAC_BITS, then the log-domain decision."""
+    g = gcd(n, p)
+    n, p = n // g, p // g
+    if n <= 50_000:
+        if 3**n >= (1 << p):
+            return False
+        return best_packed_min_element(n, p) > Fraction(D)
+    lo3, hi3 = log2_3_fixed(FRAC_BITS)
+    scale = 1 << FRAC_BITS
+    d_lo = p * scale - n * hi3
+    d_hi = p * scale - n * lo3
+    if 0 < d_lo and d_hi < scale:
+        if 6 * D * d_hi < n * scale:
+            return True
+        if D * d_lo >= n * scale:
+            return False
+    return _packed_exceeds_log2(n, p, D)
+
+
+def test_packed_bound_matches_the_tiered_oracle_near_the_threshold():
+    for n in range(1, 200):
+        p0 = (3**n).bit_length()
+        for p in range(max(1, p0 - 2), p0 + 4):
+            for D in (1, 2, 3, 7, 100, 10**6):
+                assert packed_bound_exceeds(n, p, D) == packed_bound_tiers(n, p, D), (n, p, D)
+
+
+@pytest.mark.parametrize("n, p", PACKED_PAIRS)
+def test_packed_bound_matches_the_tiered_oracle_on_the_interval_pairs(n, p):
+    Ds = {1, 2, 10**6, 2**40}
+    if 3**n < 1 << p:
+        m_floor = packed_floor(n, p)
+        Ds |= {m_floor - 1, m_floor, m_floor + 1} - {0}
+    for D in Ds:
+        assert packed_bound_exceeds(n, p, D) == packed_bound_tiers(n, p, D)
+
+
+def test_packed_bound_forms_no_exact_value_away_from_ties(monkeypatch):
+    # the tiered decision spent 0.53-0.56 s on the exact M of (47468, 75235)
+    def refuse(n, p):
+        raise AssertionError(f"exact packed value formed at ({n}, {p})")
+
+    monkeypatch.setattr(cycles, "best_packed_min_element", refuse)
+    rep = cycle_length_lower_bound(10**9, first_only=True)
+    assert (rep.min_odd_terms, rep.min_period) == (47468, 75235)
+
+
+@pytest.mark.parametrize("n, p, D", [(3, 5, 0), (57001, 90346, 0), (3, 5, -1), (0, 5, 2), (3, 0, 2)])
+def test_packed_bound_refuses_nonpositive_input(n, p, D):
+    with pytest.raises(ValueError, match="positive"):
+        packed_bound_exceeds(n, p, D)
+
+
+@pytest.mark.parametrize("n, p", [(0, 3), (-1, 3), (3, 0), (2, -5)])
+def test_best_packed_min_element_refuses_nonpositive_input(n, p):
+    with pytest.raises(ValueError, match="positive"):
+        best_packed_min_element(n, p)

@@ -114,6 +114,13 @@ def test_register_view_consistency():
         assert rebuilt == value
 
 
+@pytest.mark.parametrize("value", [0, -6])
+def test_register_view_refuses_a_nonpositive_value(value):
+    # every prime divides 0, so its exponent count would never end
+    with pytest.raises(ValueError, match=">= 1"):
+        FractranProgram(PRIMEGAME).registers(value)
+
+
 def test_parse_program_and_bundled_file():
     text = resources.files("collatzlab").joinpath("programs/primegame.frc").read_text()
     prog = parse_program(text)
