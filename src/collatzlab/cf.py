@@ -121,10 +121,6 @@ class ContinuedFraction:
     value: Fraction | None = None
     power_certified_depth: int = 0
 
-    @property
-    def depth(self) -> int:
-        return len(self.quotients)
-
     def convergents(self) -> list[tuple[int, int]]:
         """Exact convergent pairs (p_k, q_k) via the standard recurrence."""
         pm1, pm2, qm1, qm2 = 1, 0, 0, 1

@@ -45,9 +45,11 @@ def cycle_value(parity: str) -> Fraction:
 
 
 def replay_word(parity: str, x: Fraction | int, d: int = 1) -> Fraction:
-    """Apply the 3x+d composite along the word (d=1 gives plain T)."""
+    """Apply the 3x+d composite along the 0/1 word (d=1 gives plain T)."""
     v = Fraction(x)
     for bit in parity:
+        if bit not in "01":
+            raise ValueError("parity word must be over {0,1}")
         v = (3 * v + d) / 2 if bit == "1" else v / 2
     return v
 
@@ -435,7 +437,7 @@ class CycleBoundReport:
     verification_bound: int            # D: conjecture assumed checked below D
     min_odd_terms: Optional[int]
     min_period: Optional[int]
-    feasible_periods: list[int]        # window-criterion periods <= cutoff
+    feasible_periods: list[int]        # window-criterion periods <= cutoff, ascending
     period_cutoff: int
     scanned_odd_terms: int
     window_constants_hex: dict = field(default_factory=dict)
@@ -474,7 +476,8 @@ def cycle_length_lower_bound(
 
     A cycle with n odd terms, all elements above D, and total period p
     forces n*log2(3) < p < n*log2(3 + 1/D), so p is feasible only when that
-    window contains an integer (this is the feasible_periods list).  For the
+    window contains an integer, which is then floor(n log2 3) + 1 (this is
+    the feasible_periods list, in scan order and so ascending).  For the
     minimum itself the sharper packing criterion applies: a cycle also needs
     best_packed_min_element(n, p) > D, which prunes window-feasible pairs
     whose best possible minimal element is still inside the verified range.
@@ -506,7 +509,7 @@ def cycle_length_lower_bound(
     delta64 = (delta >> (FRAC_BITS - 64)) + 2
     n_cap = (period_cutoff * scale) // lo3 + 2
 
-    periods: set[int] = set()
+    periods: list[int] = []  # p = floor(n log2 3) + 1 rises with n: ascending
     rejections: list[tuple[int, int]] = []
     min_pair: Optional[tuple[int, int]] = None
     exact_checks = 0
@@ -517,12 +520,12 @@ def cycle_length_lower_bound(
         p = nL // scale + 1
         top_lo = nn * loD
         if p * scale > nH and p * scale < top_lo:
-            return int(p)
+            return p
+        # p - 1 <= nL / scale < n log2 3, so only p can straddle exactly
         if nL // scale != nH // scale or (top_lo <= p * scale <= nn * hiD):
             exact_checks += 1
-            for cand in (int(p) - 1, int(p)):
-                if cand >= 1 and _feasible_exact(nn, cand, D):
-                    return cand
+            if _feasible_exact(nn, p, D):
+                return p
         return None
 
     for nn in _window_candidates(theta64, delta64 + 3, 1, n_cap):
@@ -530,7 +533,7 @@ def cycle_length_lower_bound(
         if p is None:
             continue
         if p <= period_cutoff:
-            periods.add(p)
+            periods.append(p)
         if min_pair is None:
             if packed_bound_exceeds(nn, p, D):
                 min_pair = (nn, p)
@@ -543,7 +546,7 @@ def cycle_length_lower_bound(
         verification_bound=D,
         min_odd_terms=min_pair[0] if min_pair else None,
         min_period=min_pair[1] if min_pair else None,
-        feasible_periods=sorted(periods),
+        feasible_periods=periods,
         period_cutoff=period_cutoff,
         scanned_odd_terms=min_pair[0] if first_only and min_pair else n_cap,
         window_constants_hex={
@@ -563,26 +566,17 @@ def linear_combination_witness(
     require_middle: bool = True,
 ) -> list[int]:
     """Periods not expressible as A*g0 + B*g1 + C*g2 with nonnegative A, B,
-    C, B >= 1 when require_middle, and A*C = 0.  Empty list means all pass.
+    C, B >= 1 when require_middle, and A*C = 0, ascending and without
+    repeats.  Empty list means all pass.
+
+    Each period p is decided on its own: it is expressible exactly when
+    p - B*g1 is divisible by g0 or by g2 for some B from 1 (or 0) to
+    p // g1, in at most p // g1 + 1 divisions.
     """
     g0, g1, g2 = generators
     if min(generators) <= 0:
         raise ValueError("generators must be positive")
-    periods = sorted(set(periods))
-    if not periods:
-        return []
-    top = periods[-1]
-    reachable = set()
-    b = 1 if require_middle else 0
-    while b * g1 <= top:
-        base = b * g1
-        a = 0
-        while base + a * g0 <= top:
-            reachable.add(base + a * g0)
-            a += 1
-        c = 0
-        while base + c * g2 <= top:
-            reachable.add(base + c * g2)
-            c += 1
-        b += 1
-    return [p for p in periods if p not in reachable]
+    b0 = 1 if require_middle else 0
+    return [p for p in sorted(set(periods))
+            if not any((p - b * g1) % g0 == 0 or (p - b * g1) % g2 == 0
+                       for b in range(b0, p // g1 + 1))]

@@ -10,6 +10,7 @@ the state over the primes of the program.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -201,10 +202,12 @@ def fractran_run(
 def primegame_exponents(count: int, max_steps: Optional[int] = None) -> list[int]:
     """Exponents of the first `count` powers of two computed by PRIMEGAME.
 
-    By default the run goes on until `count` outputs exist.  That always
-    terminates: started at 2, PRIMEGAME never halts (its last fraction, 55/1,
-    applies to every integer) and emits 2^p for every prime p in increasing
-    order (Conway 1987), so the exponents are the first `count` primes.
+    This is one `fractran_run` from 2 under the power-of-two predicate with
+    max_outputs=count.  By default the run goes on until `count` outputs
+    exist.  That always terminates: started at 2, PRIMEGAME never halts
+    (its last fraction, 55/1, applies to every integer) and emits 2^p for
+    every prime p in increasing order (Conway 1987), so the exponents are
+    the first `count` primes.
 
     `max_steps` is an optional budget on interpreter steps; an output at the
     last allowed step still counts.  If the budget runs out first, a
@@ -216,16 +219,13 @@ def primegame_exponents(count: int, max_steps: Optional[int] = None) -> list[int
     """
     if count <= 0:
         return []
-    outputs: list[int] = []
-    stop = None if max_steps is None else max(max_steps + 1, 0)
-    for _, m in islice(fractran_iter(FractranProgram(PRIMEGAME), 2), 1, stop):
-        if m.bit_count() == 1:
-            outputs.append(m.bit_length() - 1)
-            if len(outputs) == count:
-                return outputs
-    raise RuntimeError(
-        f"step budget {max_steps} exhausted after {len(outputs)} of {count} outputs"
-    )
+    run = fractran_run(FractranProgram(PRIMEGAME), 2, max_outputs=count,
+                       max_steps=sys.maxsize if max_steps is None else max_steps)
+    if len(run.outputs) < count:
+        raise RuntimeError(
+            f"step budget {max_steps} exhausted after {len(run.outputs)} of {count} outputs"
+        )
+    return [m.bit_length() - 1 for m in run.outputs]
 
 
 def fractran_as_multiplier_map(prog: FractranProgram) -> ResidueAffineMap:

@@ -1,5 +1,6 @@
-"""The T-step kernel: the one place that steps T(x) = (3x+1)/2 for odd x,
-x/2 for even x, and the one overflow policy of the vectorized sweeps.
+"""The T-step kernel: the one place that steps arrays by T(x) = (3x+1)/2
+for odd x, x/2 for even x (a single integer steps `maps.t_map()`), and the
+one overflow policy of the vectorized sweeps.
 `lift` is the one place that builds residue tables mod 2^k: the jump table
 here, the stopping-time sieve and the 2-adic parity table read it.
 
@@ -47,10 +48,6 @@ import numpy as np
 
 #: largest iterate an int64 step may take: 3 * GUARD + 1 <= 2^62 + 1 < 2^63
 GUARD = (1 << 62) // 3
-
-
-def t_step_int(x: int) -> int:
-    return (3 * x + 1) // 2 if x & 1 else x // 2
 
 
 def t_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -306,9 +306,8 @@ def verify_range(
 
 
 def stopping_density(k: int) -> Fraction:
-    """Exact fraction of residues mod 2^k whose stopping time is <= k."""
-    if not 1 <= k <= SIEVE_K_MAX:
-        raise ValueError(f"k must be in 1..{SIEVE_K_MAX}")
+    """Exact fraction of residues mod 2^k whose stopping time is <= k;
+    `class_sieve` refuses a k outside 1..SIEVE_K_MAX."""
     return 1 - class_sieve(k).survivor_fraction(k)
 
 

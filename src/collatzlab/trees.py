@@ -227,7 +227,14 @@ def odd_preimage(n: int) -> Optional[int]:
 
 
 def odd_preimage_family(n: int, limit: int) -> list[int]:
-    """All odd t <= limit with odd_step(t) = n, ascending."""
+    """All odd t <= limit with odd_step(t) = n, ascending, for n >= 0.
+
+    A negative n prime to 3 has a negative canonical preimage, which
+    t -> 4t + 1 takes down without end, so its family is infinite below
+    any limit and n < 0 is refused.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     t = odd_preimage(n)
     if t is None:
         return []

@@ -8,11 +8,14 @@ bits below n matter (higher terms carry a factor 2^(d_j) = 0 mod 2^n and
 3^-(j+1) is a 2-adic unit), so the truncation is well defined.
 
 Both tables over Z/2^n are lifted from 2^b to 2^(b+1) residues: the
-parity table is `kernel.lift`, and phi(x + 2^b) = phi(x) - 3^-(rank(x)+1) 2^b
-for x < 2^b with rank(x) one bits.  The cycles of phi are read by doubling,
-P_(j+1) = P_j o P_j from P_0 = phi: x has period 2^j at the first j with
-P_j(x) = x.  Every period is a power of 2 (Bernstein and Lagarias 1996);
-a residue with no such j <= n raises ArithmeticError.
+parity table is the packed word column `kernel.lift(n)[3]`, and
+phi(x + 2^b) = phi(x) - 3^-(rank(x)+1) 2^b for x < 2^b with rank(x) one
+bits.  A single parity prefix takes n steps of `maps.t_map()`, the map
+the walker runs, and goes on through a cycle where the walker would stop
+at a repeat.  The cycles of phi are read by doubling, P_(j+1) = P_j o P_j
+from P_0 = phi: x has period 2^j at the first j with P_j(x) = x.  Every
+period is a power of 2 (Bernstein and Lagarias 1996); a residue with no
+such j <= n raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import lift, t_step, t_step_int
+from .kernel import lift, t_step
+from .maps import t_map
 
 N_MAX = 24
 
@@ -40,7 +44,7 @@ def parity_prefix(x: int, n: int) -> str:
     out = []
     for _ in range(n):
         out.append("1" if v & 1 else "0")
-        v = t_step_int(v)
+        v = t_map().step(v)
     return "".join(out)
 
 
@@ -70,11 +74,6 @@ def _phi_table(n: int) -> np.ndarray:
         phi = np.concatenate((phi, (phi - (inv_pows[rank] << b)) & mask))
         rank = np.concatenate((rank, rank + 1))
     return phi
-
-
-def _parity_table(n: int) -> np.ndarray:
-    """Packed parity prefixes of all residues mod 2^n (the inverse map)."""
-    return lift(n)[3]
 
 
 @dataclass
@@ -165,7 +164,7 @@ def conjugacy_check(n: int) -> ConjugacyReport:
 def inverse_consistency(n: int) -> bool:
     """The packed parity map inverts phi on Z/2^n."""
     _check_n(n)
-    return bool(np.array_equal(_parity_table(n)[_phi_table(n)], np.arange(1 << n)))
+    return bool(np.array_equal(lift(n)[3][_phi_table(n)], np.arange(1 << n)))
 
 
 def odd_unit_restriction_is_permutation(n: int) -> bool:

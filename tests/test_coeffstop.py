@@ -11,7 +11,6 @@ from collatzlab.coeffstop import (
     residue_class_structure,
     verify_coefficient_conjecture,
 )
-from collatzlab.kernel import t_step_int
 from collatzlab.maps import (
     DEFAULT_MAGNITUDE_LIMIT,
     MagnitudeLimit,
@@ -61,7 +60,7 @@ def coeff_stop_record_loop(n, step_limit=coeffstop.DEFAULT_STEP_LIMIT):
         if x & 1:
             B = 3 * B + (1 << (j - 1))
             a += 1
-        x = t_step_int(x)
+        x = t_map().step(x)
         if k is None and 3**a < (1 << j):
             k, a_at_k, B_at_k = j, a, B
         if sigma is None and x < n:
@@ -74,7 +73,7 @@ def coeff_stop_record_loop(n, step_limit=coeffstop.DEFAULT_STEP_LIMIT):
     offset = Fraction(B_at_k, 1 << k)
     y = n
     for _ in range(k):
-        y = t_step_int(y)
+        y = t_map().step(y)
     if coeff * n + offset != y:
         raise ArithmeticError(f"affine identity failed at n={n}, k={k}")
     return coeffstop.CoeffStopRecord(n, k, a_at_k, coeff, offset, sigma)
@@ -124,7 +123,7 @@ def test_affine_identity_block():
         r = coeff_stop_record(n)
         x = n
         for _ in range(r.k):
-            x = t_step_int(x)
+            x = t_map().step(x)
         assert r.coeff * n + r.offset == x
         assert r.offset >= 0
         assert r.k <= r.stopping_time

@@ -1,6 +1,7 @@
 """Cycle values, rational cycles, circuit equation, cycle-length bounds."""
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -299,8 +300,63 @@ def test_feasible_period_scan_keeps_only_the_periods():
     rep = cycle_length_lower_bound(10**4, period_cutoff=10**6)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 60 * 2**20
+    assert peak < 32 * 2**20
     assert (rep.min_odd_terms, rep.min_period) == (253, 401)
+
+
+@pytest.mark.parametrize("D, cutoff, first_only", [
+    (2, 10**4, False), (5, 10**5, False), (2, 2 * 10**6, False), (3, 10**6, False),
+    (2**40, 10**8, False), (2, 2 * 10**6, True), (5, 10**9, True), (2**40, 10**9, True),
+])
+def test_feasible_periods_rise_strictly_in_scan_order(D, cutoff, first_only):
+    # every kept period is floor(n log2 3) + 1, so the scan lists them ascending
+    periods = cycle_length_lower_bound(D, cutoff, first_only).feasible_periods
+    assert periods and all(a < b for a, b in zip(periods, periods[1:]))
+    assert periods[-1] <= cutoff
+
+
+@pytest.mark.parametrize("word", ["1x0", "120"])
+def test_replay_word_refuses_a_word_not_over_01(word):
+    with pytest.raises(ValueError, match="over"):
+        replay_word(word, 3)
+    with pytest.raises(ValueError, match="over"):
+        word_offset(word)
+
+
+def witness_by_reachable_set(periods, generators, require_middle=True):
+    """The former `linear_combination_witness`: every reachable value up to
+    the largest period, then a lookup per period."""
+    g0, g1, g2 = generators
+    periods = sorted(set(periods))
+    if not periods:
+        return []
+    top = periods[-1]
+    reachable = set()
+    b = 1 if require_middle else 0
+    while b * g1 <= top:
+        base = b * g1
+        a = 0
+        while base + a * g0 <= top:
+            reachable.add(base + a * g0)
+            a += 1
+        c = 0
+        while base + c * g2 <= top:
+            reachable.add(base + c * g2)
+            c += 1
+        b += 1
+    return [p for p in periods if p not in reachable]
+
+
+def test_linear_combination_witness_matches_the_reachable_set():
+    rng = random.Random(20260)
+    for case in range(3000):
+        gens = tuple(rng.randint(1, 40) for _ in range(3))
+        periods = [rng.randint(-5, 400) for _ in range(rng.randint(0, 12))]
+        periods += periods[:rng.randint(0, len(periods))]  # duplicates
+        rng.shuffle(periods)
+        middle = case % 2 == 0
+        assert (linear_combination_witness(periods, gens, middle)
+                == witness_by_reachable_set(periods, gens, middle)), (periods, gens, middle)
 
 
 def test_packed_min_element_brute_force():

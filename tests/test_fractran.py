@@ -163,6 +163,37 @@ def test_run_budget_edges():
         primegame_exponents(1, max_steps=0)
 
 
+def primegame_exponents_by_islice(count, max_steps=None):
+    """The former `primegame_exponents`: its own loop over `fractran_iter`."""
+    if count <= 0:
+        return []
+    outputs = []
+    stop = None if max_steps is None else max(max_steps + 1, 0)
+    for _, m in islice(fractran_iter(FractranProgram(PRIMEGAME), 2), 1, stop):
+        if m.bit_count() == 1:
+            outputs.append(m.bit_length() - 1)
+            if len(outputs) == count:
+                return outputs
+    raise RuntimeError(
+        f"step budget {max_steps} exhausted after {len(outputs)} of {count} outputs"
+    )
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("max_steps",
+                         [None, -3, 0, 18, 19, 68, 69, 70, 10**3, 5 * 10**3, 2 * 10**4])
+def test_primegame_matches_the_islice_loop(max_steps):
+    for count in range(-1, 13):
+        assert (_outcome(primegame_exponents, count, max_steps)
+                == _outcome(primegame_exponents_by_islice, count, max_steps)), count
+
+
 @pytest.mark.parametrize("max_outputs", [0, -1])
 def test_run_rejects_max_outputs_below_one(max_outputs):
     with pytest.raises(ValueError, match="max_outputs"):

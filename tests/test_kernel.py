@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from collatzlab import coeffstop, kernel, stats
 from collatzlab.coeffstop import coeff_stop_record, verify_coefficient_conjecture
-from collatzlab.kernel import GUARD, descend, lift, t_step, t_step_int
+from collatzlab.kernel import GUARD, descend, lift, t_step
 from collatzlab.maps import t_map, trajectory
 from collatzlab.stats import (
     ClassSieve,
@@ -235,7 +235,7 @@ def scalar_descent(n):
     sigma = stats_record(n).stopping_time
     x, peak = n, 0
     for _ in range(sigma):
-        x = t_step_int(x)
+        x = t_map().step(x)
         peak = max(peak, x)
     return sigma, x, peak, coeff_stop_record(n).k
 
@@ -290,7 +290,7 @@ def first_below(n, thr, step_limit):
     """The first j in 1..step_limit with T^j(n) < thr, else None."""
     x = n
     for j in range(1, step_limit + 1):
-        x = t_step_int(x)
+        x = t_map().step(x)
         if x < thr:
             return j
     return None
@@ -331,7 +331,7 @@ def test_lift_matches_scalar_steps(k):
         for i in range(k):
             a += y & 1
             word |= (y & 1) << i
-            y = t_step_int(y)
+            y = t_map().step(y)
         assert (int(v[x]), int(p[x]), int(w[x])) == (y, 3**a, word)
 
 
@@ -371,7 +371,7 @@ def test_jump_table():
         for q in (0, 1, 12345, GUARD >> K):
             x = (q << K) + r
             for _ in range(K):
-                x = t_step_int(x)
+                x = t_map().step(x)
             assert x == int(kernel._JUMP_MUL[r]) * q + int(kernel._JUMP_ADD[r])
 
 
@@ -392,7 +392,7 @@ def test_bare_descend_matches_single_steps(cases, step_limit):
         elif kind == "jump":
             x = n
             for _ in range(K):
-                x = t_step_int(x)
+                x = t_map().step(x)
             kind = x if x < 2**63 else n
         thr.append(n if kind == "start" else kind)
     got = set(descend(ns, step_limit, np.array(thr, dtype=np.int64)).unresolved.tolist())

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import kernel, stats
 from collatzlab.coeffstop import verify_coefficient_conjecture
-from collatzlab.kernel import t_step_int
 from collatzlab.maps import ReachedTarget, t_map, trajectory
 from collatzlab.stats import (
     below_power_density,
@@ -31,7 +30,7 @@ VYSSOTSKY = 37664971860959140595765286740059
 def naive_sigma(n):
     x, k = n, 0
     while True:
-        x = t_step_int(x)
+        x = t_map().step(x)
         k += 1
         if x < n:
             return k
@@ -40,7 +39,7 @@ def naive_sigma(n):
 def naive_sigma_inf(n):
     x, k = n, 0
     while x != 1:
-        x = t_step_int(x)
+        x = t_map().step(x)
         k += 1
     return k
 
@@ -114,7 +113,7 @@ def stats_record_loop(n, step_limit=stats.DEFAULT_STEP_LIMIT,
         if len(parity) < parity_bits:
             parity.append("1" if x & 1 else "0")
         odd_count += x & 1
-        x = t_step_int(x)
+        x = t_map().step(x)
         steps += 1
         peak = x if peak is None else max(peak, x)
         if sigma is None and x < n:
@@ -267,6 +266,12 @@ def test_stopping_density_basics():
     assert stopping_density(2) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("k", [0, 27])
+def test_stopping_density_refuses_k_outside_the_sieve(k):
+    with pytest.raises(ValueError, match="1..26"):
+        stopping_density(k)
+
+
 def test_stopping_density_monotone():
     vals = [stopping_density(k) for k in range(1, 19)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -281,7 +286,7 @@ def test_stopping_density_against_naive_oracle():
     for r in range(m):
         x = n = r + m
         for j in range(1, k + 1):
-            x = t_step_int(x)
+            x = t_map().step(x)
             if x < n:
                 dropped += 1
                 break
@@ -306,7 +311,7 @@ def naive_class_sieve(k):
             if x & 1:
                 B = 3 * B + (1 << (j - 1))
                 a += 1
-            x = t_step_int(x)
+            x = t_map().step(x)
             if 3**a < 1 << j:
                 max_threshold = max(max_threshold, B // ((1 << j) - 3**a))
                 break
@@ -369,7 +374,7 @@ def test_below_power_density_high_beta_recount():
         x = n
         ok = False
         for _ in range(200):
-            x = t_step_int(x)
+            x = t_map().step(x)
             if x**1000 < n**999:
                 ok = True
                 break
@@ -430,7 +435,7 @@ def test_excursion_small_range_oracle():
     for n in range(2, 201):
         x, best = n, 0
         while x != 1:
-            x = t_step_int(x)
+            x = t_map().step(x)
             best = max(best, x)
         t[n] = max(best, 2)
     champs = []
@@ -452,7 +457,7 @@ def test_excursion_champions_across_blocks():
     for n, peak in rep.champions[-3:]:
         x, best = n, 2
         while x != 1:
-            x = t_step_int(x)
+            x = t_map().step(x)
             best = max(best, x)
         assert peak == best
     assert not rep.bound_violations
@@ -487,7 +492,7 @@ def test_excursion_step_limit_error_names_the_start(monkeypatch):
     assert naive_sigma(n0) == 164
     image = n0
     for _ in range(k):
-        image = t_step_int(image)
+        image = t_map().step(image)
     monkeypatch.setattr(stats, "DEFAULT_STEP_LIMIT", 150)
     with pytest.raises(RuntimeError, match=f"n={n0} ") as err:
         excursion_records(3 * 10**5)

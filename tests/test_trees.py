@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from collatzlab import trees
 from collatzlab.maps import EnteredCycle, ReachedTarget, t_map, trajectory
-from collatzlab.kernel import t_step_int
 from collatzlab.trees import (
     extremal_spread,
     odd_preimage,
@@ -56,7 +55,7 @@ def test_tree_count_recurrence_and_level_soundness():
             for node in level[:50]:
                 x = node
                 for _ in range(j):
-                    x = t_step_int(x)
+                    x = t_map().step(x)
                 assert x == a
 
 
@@ -80,7 +79,7 @@ def test_cycle_node_backflow_included():
 def test_edge_list_parents():
     t = tree_counts(5, 3, mode="full")
     for child, parent in t.edge_list():
-        assert t_step_int(child) == parent
+        assert t_map().step(child) == parent
 
 
 def test_branching_density_k1():
@@ -174,7 +173,7 @@ def test_reach_count_negative_cycle():
             if x == -5:
                 ok = True
                 break
-            x = t_step_int(x)
+            x = t_map().step(x)
         want += ok
     assert got == want
 
@@ -195,6 +194,14 @@ def test_odd_preimage_closure():
             continue
         fam = odd_preimage_family(n, 10**6)
         assert fam == brute.get(n, [])
+
+
+@pytest.mark.parametrize("n", [-1, -5, -7])
+def test_odd_preimage_family_refuses_negative_n(n):
+    # the canonical preimage of a negative n is negative, and t -> 4t + 1
+    # takes it down without end: the family is infinite below any limit
+    with pytest.raises(ValueError, match=">= 0"):
+        odd_preimage_family(n, 10)
 
 
 def test_odd_preimage_canonical_residue():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from collatzlab import twoadic
-from collatzlab.kernel import t_step
+from collatzlab.kernel import lift, t_step
 from collatzlab.twoadic import (
-    _parity_table,
     _phi_table,
     conjugacy_check,
     inverse_consistency,
@@ -141,7 +140,7 @@ def perm_analysis_by_walk(n):
 @pytest.mark.parametrize("n", range(4, 17))
 def test_tables_and_perm_match_the_former_code(n):
     assert np.array_equal(_phi_table(n), phi_table_by_bits(n))
-    assert np.array_equal(_parity_table(n), parity_table_by_steps(n))
+    assert np.array_equal(lift(n)[3], parity_table_by_steps(n))
     rep = perm_analysis(n)
     order, counts, fixed = perm_analysis_by_walk(n)
     assert (rep.order, rep.cycle_length_counts, rep.fixed_points) == (order, counts, fixed)
