@@ -230,7 +230,7 @@ def _sweep_for_disagreement(n_max: int, k_max: int) -> list[int]:
     """All n <= n_max whose coefficient stopping time is <= k_max but whose
     stopping time differs (vectorized, exact), by one call to
     `kernel.descend_range` over 2..n_max."""
-    _, n_at, d = kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, kappa=True)
+    _, n_at, d = kernel.descend_range(2, n_max, DEFAULT_STEP_LIMIT, outputs=("steps", "kappa"))
     if len(d.unresolved):
         raise RuntimeError(f"coefficient sweep: n={n_at(d.unresolved[:1])[0]} did not "
                            f"drop below itself within {DEFAULT_STEP_LIMIT} steps")

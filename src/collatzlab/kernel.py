@@ -17,15 +17,15 @@ exact and no caller sees an overflow.
 `_descend` is that driver, and it runs chunk then pool.  It reads its
 starts and thresholds through a function at(idx) of an index array, one
 cache-sized chunk of indices at a time, and takes the first 32 steps of
-each chunk (4 jumps, or 32 single steps where peak or kappa is asked
-for); the rest run on the pooled survivors of the chunks, each time the
-pool reaches _POOL = 2^18 starts and once at the end.  So a descent holds
-one chunk, at most _POOL pooled starts, the indices it hands on and its
-outputs, however many starts it has: no array of starts, thresholds or
-live columns spans them.  Its two callers are the entries of the cascade:
-`descend` gathers from given arrays, and `descend_range` computes each
-candidate of a range, its start and its threshold from the candidate's
-index.
+each chunk (4 jumps, or 32 single steps where some output is named; the
+output contract is stated by `descend`); the rest run on the pooled
+survivors of the chunks, each time the pool reaches _POOL = 2^18 starts
+and once at the end.  So a descent holds one chunk, at most _POOL pooled
+starts, the indices it hands on and its outputs, however many starts it
+has: no array of starts, thresholds or live columns spans them.  Its two
+callers are the entries of the cascade: `descend` gathers from given
+arrays, and `descend_range` computes each candidate of a range, its start
+and its threshold from the candidate's index.
 
 `descend_range` is the one range reader: every sweep over a range lo..hi
 of starts, sieved or not, is one call to it, and no other module calls
@@ -60,10 +60,8 @@ def t_step(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Descent:
-    """Per-start results of `descend`, indexed like its starts.  An output
-    the call did not ask for is None; an unresolved start reads 0.  Every
-    column is int64, except that peak is an object array of Python ints
-    when some peak passes int64, as only an orbit past GUARD can."""
+    """Per-start results of `descend`, indexed like its starts; which
+    columns a call fills is the output contract of `descend`."""
 
     unresolved: np.ndarray              # indices still at or above threshold at step_limit
     steps: Optional[np.ndarray] = None  # first step with T^steps(n) below the threshold
@@ -77,18 +75,27 @@ def descend(
     step_limit: int,
     threshold: Optional[np.ndarray] = None,
     *,
-    peak: bool = False,
-    kappa: bool = False,
+    outputs: tuple[str, ...] = (),
 ) -> Descent:
     """Iterate T on int64 starts until each first falls below its threshold
-    (default: the start itself), giving up after step_limit steps.  Only the
-    outputs asked for are tracked (peak: drop and peak; kappa: steps and
-    kappa).  kappa is the first k with 3^a < 2^k, a the odd steps among the
-    first k; it never exceeds the stopping time.  starts and threshold must
-    be int64 arrays (TypeError otherwise: 3x + 1 would wrap in a narrower
-    type).  The starts are gathered chunk by chunk by `_descend`.
+    (default: the start itself), giving up after step_limit steps.  starts
+    and threshold must be int64 arrays (TypeError otherwise: 3x + 1 would
+    wrap in a narrower type).  The starts are gathered chunk by chunk by
+    `_descend`.
 
-    A bare call (neither peak nor kappa) only sorts the starts into resolved
+    The output contract: the `Descent` always holds the unresolved indices,
+    and outputs names the columns it fills, from "steps", "drop", "peak"
+    and "kappa" (a name outside these four raises ValueError).  Only the
+    columns named are tracked, each for itself; every other column is None,
+    and an unresolved start reads 0 in each.  steps is the first step with
+    T^steps(n) below the threshold, drop is T^steps(n), peak is the largest
+    T^j(n), 1 <= j <= steps, and kappa is the first k with 3^a < 2^k, a the
+    odd steps among the first k (the coefficient stopping time, 0 if no
+    k <= steps qualifies; it never exceeds the stopping time).  Every
+    column is int64, except that peak is an object array of Python ints
+    when some peak passes int64, as only an orbit past GUARD can.
+
+    A bare call (no outputs named) only sorts the starts into resolved
     and unresolved, and takes its steps K = 8 at a time: T^K(2^K q + r) =
     3^c(r) q + T^K(r), with c(r) the odd steps of r among its first K
     (Terras 1976; Everett 1977).  An iterate below its threshold at a jump
@@ -114,25 +121,24 @@ def descend(
         threshold = starts
     if starts.dtype != np.int64 or threshold.dtype != np.int64:
         raise TypeError("descend takes int64 starts and thresholds")
-    return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit, peak, kappa)
+    return _descend(len(starts), lambda idx: (starts[idx], threshold[idx]), step_limit, outputs)
 
 
 def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callable] = None, *,
-                  sieve=None, peak: bool = False,
-                  kappa: bool = False) -> tuple[int, Callable, Descent]:
+                  sieve=None, outputs: tuple[str, ...] = ()) -> tuple[int, Callable, Descent]:
     """Return (size, n_at, d) for the size candidates n in lo..hi, ascending:
     n_at(idx) gives the candidates at the int64 indices idx, and d =
-    descend(n, step_limit, threshold(n), peak=peak, kappa=kappa) is indexed
-    like them.  threshold maps an array of candidates to their thresholds
-    elementwise, and None means n itself.  Without a sieve every n is a
-    candidate.  With one, a `stats.ClassSieve` mod 2^k, the candidates are
-    the n = 2^k q + r with r one of its S survivors, the rest being
-    certified by the sieve; a member of a surviving class has no iterate
-    below n (nor below a threshold at most n) in its first k steps (see
-    `stats.verify_range`).  Candidate i sits at row q and column c of the
-    (q, r) grid, divmod(i + first, S) from the row lo >> k, first the
-    survivors of that row below lo.  A range without a sieve is the one
-    class mod 2^0, with no division.
+    descend(n, step_limit, threshold(n), outputs=outputs) is indexed like
+    them, by the output contract of `descend`.  threshold maps an array of
+    candidates to their thresholds elementwise, and None means n itself.
+    Without a sieve every n is a candidate.  With one, a `stats.ClassSieve`
+    mod 2^k, the candidates are the n = 2^k q + r with r one of its S
+    survivors, the rest being certified by the sieve; a member of a
+    surviving class has no iterate below n (nor below a threshold at most
+    n) in its first k steps (see `stats.verify_range`).  Candidate i sits
+    at row q and column c of the (q, r) grid, divmod(i + first, S) from the
+    row lo >> k, first the survivors of that row below lo.  A range without
+    a sieve is the one class mod 2^0, with no division.
 
     Every candidate starts at step k, from T^k(n) = 3^a(r) q + T^k(r) (the
     identity of the jump table), with step_limit - k steps: the verdict of
@@ -140,14 +146,15 @@ def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callabl
     where some T^k(n) could pass GUARD (hi >> k above the least q with
     T^k(n) <= GUARD), every candidate starts at n itself with step_limit
     steps, and its peak runs over 1 <= j <= steps.  With step_limit < k
-    every candidate is unresolved.  kappa counts from step 0, so it takes
-    no sieve.  The candidates, starts and thresholds are computed chunk by
-    chunk by `_descend`, whose working set is bounded whatever the range;
-    only the output columns asked for span it.  An empty range has size 0."""
+    every candidate is unresolved.  steps and kappa count from step 0, so
+    a sieve refuses them (ValueError).  The candidates, starts and
+    thresholds are computed chunk by chunk by `_descend`, whose working set
+    is bounded whatever the range; only the output columns asked for span
+    it.  An empty range has size 0."""
     if sieve is None:
         k, r, images, pow3 = 0, *(np.array([x], dtype=np.int64) for x in (0, 0, 1))
-    elif kappa:
-        raise ValueError("kappa counts from step 0 and takes no sieve")
+    elif {"steps", "kappa"} & set(outputs):
+        raise ValueError("steps and kappa count from step 0 and take no sieve")
     else:
         k, r, images, pow3 = sieve.k, sieve.survivors, sieve.images, sieve.pow3
     S, mask = len(r), (1 << k) - 1
@@ -171,7 +178,7 @@ def descend_range(lo: int, hi: int, step_limit: int, threshold: Optional[Callabl
         x = n if from_n or not k else q * pow3[col] + images[col]
         return x, n if threshold is None else threshold(n)
 
-    return size, lambda idx: grid(idx)[2], _descend(size, at, limit, peak, kappa)
+    return size, lambda idx: grid(idx)[2], _descend(size, at, limit, outputs)
 
 
 def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
@@ -187,7 +194,10 @@ def lift(k: int, keep: Optional[Callable] = None) -> tuple[np.ndarray, ...]:
 
     int64 is exact for k <= 38: T(x) + 1 <= 3(x + 1)/2, so r < 2^(j+1) has
     T^j(r) + 1 <= 2 * 3^j, and the next step's 3 T^j(r) + 1 < 6 * 3^j < 2^63.
+    A larger k raises ValueError before any lifting.
     """
+    if k > 38:
+        raise ValueError(f"lift is exact in int64 only for k <= 38, not {k}")
     r, v, p, w = (np.array([x], dtype=np.int64) for x in (0, 0, 1, 0))
     for j in range(k):
         if keep is not None:
@@ -211,16 +221,19 @@ _, _JUMP_ADD, _JUMP_MUL, _ = lift(_K)  # T^K(2^K q + r) = 3^a(r) q + T^K(r)
 _CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
 _HEAD_STEPS = 32  # steps per chunk before the survivors are pooled (4 jumps of a bare call)
 _POOL = 1 << 18  # pooled survivors at which the pool is flushed through the tail
+#: the output names of a descent, each with the live columns its steps need besides idx, v, thr
+_OUTPUTS = {"steps": (), "drop": (), "peak": ("peak",), "kappa": ("a", "kappa")}
 
 
-def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
+def _descend(size: int, at: Callable, step_limit: int, outputs: tuple[str, ...],
              stride: Optional[int] = None, dtype=np.int64) -> Descent:
     """`descend` of `size` starts read through at(idx) -> (starts,
     thresholds), two int64 arrays for an int64 array idx of indices in
     0..size - 1, at one level of the cascade: stride-`_K` jumps or single
     steps (stride 1) on int64 starts, or single steps on object arrays of
     Python ints (dtype object, to which each chunk's starts are converted).
-    The entry level (stride None) jumps for a bare call, else takes single
+    outputs names the columns to fill, by the contract of `descend`; the
+    entry level (stride None) jumps where it names none, else takes single
     steps.  at is called once per chunk of _CHUNK indices, on whose live
     columns {idx, v, thr} the first _HEAD_STEPS // stride steps run; the
     survivors of the chunks are pooled, and the rest of the steps run on
@@ -237,9 +250,10 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
     threshold <= 2, those whose iterate passes the jump guard, and those
     still live after the last jump, whose drop a jump may have passed over;
     at the int64 single-step level, those whose orbit passes GUARD."""
-    stride = stride or (1 if peak or kappa else _K)
-    names = (("drop", "peak") if peak else ()) + (("steps", "kappa") if kappa else ())
-    out = {name: np.zeros(size, dtype=dtype) for name in names}
+    if unknown := set(outputs) - _OUTPUTS.keys():
+        raise ValueError(f"unknown descent outputs {sorted(unknown)}")
+    stride = stride or (1 if outputs else _K)
+    out = {name: np.zeros(size, dtype=dtype) for name in outputs}
     stop = step_limit // stride
     head = min(stop, _HEAD_STEPS // stride)
     past, pool, tails = [], [], []  # indices left to the next level; chunk survivors; live at stop
@@ -250,11 +264,8 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
         if stride > 1 and (low := t <= 2).any():
             past.append(idx[low])
             live = {name: col[~low] for name, col in live.items()}
-        if peak:
-            live["peak"] = np.zeros(len(live["idx"]), dtype=dtype)
-        if kappa:
-            live["a"] = np.zeros(len(live["idx"]), dtype=np.int64)
-            live["kappa"] = np.zeros(len(live["idx"]), dtype=np.int64)
+        for name in (col for output in out for col in _OUTPUTS[output]):
+            live[name] = np.zeros(len(live["idx"]), dtype=dtype)
         live = _steps(live, out, 0, head, past, stride)  # frees the chunk's first columns
         pool.append(live)
         if sum(len(chunk["idx"]) for chunk in pool) >= _POOL or lo + _CHUNK >= size:
@@ -268,7 +279,7 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
     if past:
         # each sort merges ascending runs, which a stable sort (timsort) does in near linear time
         idx = np.sort(np.concatenate(past), kind="stable")
-        rerun = _descend(len(idx), lambda i: at(idx[i]), step_limit, peak, kappa, 1,
+        rerun = _descend(len(idx), lambda i: at(idx[i]), step_limit, outputs, 1,
                          object if stride == 1 else dtype)
         unresolved = np.sort(np.concatenate((unresolved, idx[rerun.unresolved])), kind="stable")
         for name in out:
@@ -281,7 +292,7 @@ def _descend(size: int, at: Callable, step_limit: int, peak: bool, kappa: bool,
 
 def _steps(live: dict, out: dict, step: int, stop: int, past: list, stride: int) -> dict:
     """Take the steps step + 1..stop of the live columns: idx, v, thr and
-    the state the outputs need (peak; a and kappa).  A step is one K-step
+    the columns `_OUTPUTS` lists for the outputs.  A step is one K-step
     jump for stride _K, else one T-step.  A start leaves once its iterate
     falls below its threshold, and its outputs are written to the out
     columns at its idx.  An int64 iterate past the guard leaves too, its

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import ceil, gcd, isqrt
 from typing import Callable, Container, Iterable, Optional
 
@@ -35,7 +36,7 @@ class MapSyntaxError(MapError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class MapDomainError(MapError):
@@ -106,13 +107,19 @@ class CeilingMap:
     certified interval lo <= beta <= hi (lo == hi for a Fraction, and
     hi = lo + 10^-d for a decimal with d digits after the point): step
     returns ceil(lo x) only where ceil(hi x) agrees, and refusal is an error
-    rather than a silent rounding.
+    rather than a silent rounding.  Any other beta, one not above 1
+    included, is refused at construction (MapError).
     """
 
     lo: Fraction = Fraction(0)
     hi: Fraction = Fraction(0)
     sqrt_of: int = 0
     label: str = ""
+
+    def __post_init__(self):
+        if not (self.sqrt_of >= 2 or (self.sqrt_of == 0 and 1 < self.lo <= self.hi)):
+            raise MapError("beta must be sqrt(k) with k >= 2, or lie in an interval "
+                           f"1 < lo <= hi (sqrt_of={self.sqrt_of}, lo={self.lo}, hi={self.hi})")
 
     def in_domain(self, x: int) -> bool:
         return x >= 1
@@ -255,12 +262,13 @@ def queneau_spiral(n: int) -> ResidueAffineMap:
 
 def beta_map(spec: str) -> CeilingMap:
     """The ceiling map of beta > 1, given as sqrt:<k>, a decimal with
-    explicit precision, or any other string that Fraction parses."""
+    explicit precision, or any other string that Fraction parses; the
+    range of beta is checked by `CeilingMap`.  A bad integer after sqrt:
+    raises MapSyntaxError at its position in spec."""
+    lead = len(spec) - len(spec.lstrip())
     spec = spec.strip()
     if spec.startswith("sqrt:"):
-        k = int(spec[5:])
-        if k < 2:
-            raise MapError("beta sqrt argument must be >= 2")
+        k = _int(spec[5:], lead + 5)
         return CeilingMap(sqrt_of=k, label=f"beta:sqrt:{k}")
     if "." in spec and not re.fullmatch(r"\d+\.\d+", spec):
         raise MapError(f"bad decimal beta: {spec!r}")
@@ -268,8 +276,6 @@ def beta_map(spec: str) -> CeilingMap:
         lo = Fraction(spec)
     except (ValueError, ZeroDivisionError):
         raise MapError(f"bad beta: {spec!r}") from None
-    if lo <= 1:
-        raise MapError("beta must exceed 1")
     digits = len(spec.partition(".")[2])
     hi = lo + Fraction(1, 10**digits) if digits else lo
     return CeilingMap(lo, hi, label=f"beta:{spec}")
@@ -277,6 +283,16 @@ def beta_map(spec: str) -> CeilingMap:
 
 # ---------------------------------------------------------------------------
 # DSL parser
+
+
+def _int(text: str, position: int) -> int:
+    """The integer that text spells, or MapSyntaxError at position, the
+    offset of text in the string being parsed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MapSyntaxError(f"bad integer {text.strip()!r}", position) from None
+
 
 _BRANCH_RE = re.compile(
     r"""^\s*
@@ -325,10 +341,7 @@ def _parse_dsl(text: str) -> ResidueAffineMap:
         res_txt, colon, expr_txt = part.partition(":")
         if not colon:
             raise MapSyntaxError("branch must look like '<residue>: <expr>'", offset)
-        try:
-            i = int(res_txt.strip())
-        except ValueError:
-            raise MapSyntaxError(f"bad residue {res_txt.strip()!r}", offset) from None
+        i = _int(res_txt, offset)
         if not 0 <= i < d:
             raise MapSyntaxError(f"residue {i} outside 0..{d - 1}", offset)
         if i in rows:
@@ -341,8 +354,20 @@ def _parse_dsl(text: str) -> ResidueAffineMap:
     return _affine(d, [rows[i] for i in range(d)], text.strip())
 
 
+def _parse_hasse(body: str) -> ResidueAffineMap:
+    """The Hasse map of "<d>,<m>,[r1,...]"; syntax errors at positions in body."""
+    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*,\s*\[([^\]]*)\]\s*", body)
+    if not m:
+        raise MapSyntaxError("hasse syntax: hasse:<d>,<m>,[r1,...]", 0)
+    parts = m.group(3).split(",") if m.group(3).strip() else []
+    at = accumulate((len(x) + 1 for x in parts), initial=m.start(3))
+    return hasse_map(int(m.group(1)), int(m.group(2)), [_int(x, i) for x, i in zip(parts, at)])
+
+
 def parse_map(text: str) -> MapSpec:
-    """Parse a builtin map name or a residue-affine DSL string."""
+    """Parse a builtin map name or a residue-affine DSL string.  Syntax
+    errors, a bad integer among them, raise MapSyntaxError at their offset
+    in the stripped text."""
     t = text.strip()
     simple = {
         "T": t_map,
@@ -356,22 +381,18 @@ def parse_map(text: str) -> MapSpec:
     if t in simple:
         return simple[t]()
     for prefix, fn in (
-        ("3x+d:", lambda s: three_x_plus_d(int(s))),
-        ("qx+1:", lambda s: qx_plus_one(int(s))),
-        ("wiggin:", lambda s: wiggin_map(int(s))),
-        ("queneau:", lambda s: queneau_spiral(int(s))),
+        ("3x+d:", lambda s: three_x_plus_d(_int(s, 0))),
+        ("qx+1:", lambda s: qx_plus_one(_int(s, 0))),
+        ("wiggin:", lambda s: wiggin_map(_int(s, 0))),
+        ("queneau:", lambda s: queneau_spiral(_int(s, 0))),
         ("beta:", beta_map),
+        ("hasse:", _parse_hasse),
     ):
         if t.startswith(prefix):
-            return fn(t[len(prefix):])
-    if t.startswith("hasse:"):
-        body = t[len("hasse:"):]
-        m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*,\s*\[([^\]]*)\]\s*", body)
-        if not m:
-            raise MapSyntaxError("hasse syntax: hasse:<d>,<m>,[r1,...]", len("hasse:"))
-        d, mm = int(m.group(1)), int(m.group(2))
-        rs = [int(x) for x in m.group(3).split(",")] if m.group(3).strip() else []
-        return hasse_map(d, mm, rs)
+            try:
+                return fn(t[len(prefix):])
+            except MapSyntaxError as e:  # a position in the body, moved past the prefix
+                raise MapSyntaxError(e.message, len(prefix) + e.position) from None
     if t.startswith("d"):
         return _parse_dsl(t)
     raise MapSyntaxError(f"unknown map {text!r}", 0)

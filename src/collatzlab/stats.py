@@ -483,7 +483,7 @@ def excursion_records(n_max: int) -> ExcursionReport:
         if not pruned:
             hi = min(n_max, lo + (1 << 14) - 1)
         size, n_at, d = kernel.descend_range(lo, hi, DEFAULT_STEP_LIMIT,
-                                             sieve=sieve if pruned else None, peak=True)
+                                             sieve=sieve if pruned else None, outputs=("peak",))
         n = n_at(np.arange(size))
         if len(d.unresolved):
             raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "

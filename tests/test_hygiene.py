@@ -9,7 +9,7 @@ it ships."""
 
 import ast
 import gc
-import importlib
+import importlib.util
 import io
 import re
 import sys
@@ -180,7 +180,7 @@ def descent_references(source: str) -> list[str]:
 
 def test_scan_finds_a_descent_outside_the_range_reader():
     source = ("from . import kernel\nfrom .kernel import descend\n\n"
-              "def sweep(lo, hi, at):\n    d = kernel._descend(hi - lo + 1, at, 9, False, False)\n"
+              "def sweep(lo, hi, at):\n    d = kernel._descend(hi - lo + 1, at, 9, ())\n"
               "    return descend(d.unresolved, 9), kernel.descend_range(lo, hi, 9)\n")
     assert descent_references(source) == ["_descend", "descend"]
 
@@ -311,3 +311,16 @@ def test_a_dropped_import_leaves_no_live_class():
         sys.modules.update(saved)
     gc.collect()
     assert old_class() is None
+
+
+def test_code_line_count_skips_docstrings_comments_and_blanks():
+    # tools/code_lines.py is the line count that the change log reports
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = ('"""Module\ndocstring."""\n\nimport os  # a code line with a comment\n'
+              '# a comment line\n\n\nclass A:\n    """One line."""\n\n'
+              '    def f(self):\n        """Two\n        lines."""\n'
+              '        s = """a string\n        over two lines"""\n        return s\n')
+    # import, class, def, the two lines of s and return
+    assert tool.code_lines(source) == 6

@@ -4,6 +4,7 @@ sweep with its exact path forced."""
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from collatzlab.stats import (
 )
 
 K = kernel._K
+OUTPUTS = ("steps", "drop", "peak", "kappa")
 JUMP_GUARD = (GUARD // 3**K) << K
 
 
@@ -46,11 +48,11 @@ def record_exact_starts(monkeypatch):
     calls = []
     level = kernel._descend
 
-    def wrapped(size, at, step_limit, peak, kappa, stride=None, dtype=np.int64):
+    def wrapped(size, at, step_limit, outputs, stride=None, dtype=np.int64):
         if dtype == object:
             starts, threshold = at(np.arange(size))
             calls.extend(zip(starts.tolist(), threshold.tolist()))
-        return level(size, at, step_limit, peak, kappa, stride, dtype)
+        return level(size, at, step_limit, outputs, stride, dtype)
 
     monkeypatch.setattr(kernel, "_descend", wrapped)
     return calls
@@ -105,12 +107,12 @@ GUARD_SPANS = [(8, lo, lo + 2**12 - 1) for lo in
                (((GUARD // 3**6) << 8) - 2**11, GUARD - 2**12, GUARD + 2**12)]
 GUARD_SPANS.append((16, 2**62 - 2**14 - 77, 2**62 - 1))
 NAIVE_RANGES = [(10, 9), (27, 27), (2, 300), (63, 193), (GUARD - 40, GUARD + 40)]
-RANGE_FLAGS = [
-    (None, {}),
-    (lambda n: n // 3, {}),
-    (lambda n: _power_ceiling(n, Fraction(1, 2)), {}),
-    (None, {"kappa": True}),
-    (lambda n: n // 3, {"kappa": True}),
+RANGE_OUTPUTS = [
+    (None, ()),
+    (lambda n: n // 3, ()),
+    (lambda n: _power_ceiling(n, Fraction(1, 2)), ()),
+    (None, ("steps", "kappa")),
+    (lambda n: n // 3, ("steps", "kappa")),
 ]
 SIEVED_RANGES = [(k, lo, hi) for k, spans in SPANS.items() for lo, hi in spans] + GUARD_SPANS
 
@@ -122,19 +124,19 @@ def starts_from_n(k, hi):
     return hi >> k > ((kernel.GUARD - sieve.images) // sieve.pow3).min()
 
 
-RANGE_CASES = [  # the unsieved ids read threshold-flags-lo-hi
-    pytest.param(None, lo, hi, threshold, flags,
+RANGE_CASES = [  # the unsieved ids read threshold-flags<i>-lo-hi, i indexing RANGE_OUTPUTS
+    pytest.param(None, lo, hi, threshold, outputs,
                  id=f"{'None' if threshold is None else '<lambda>'}-flags{i}-{lo}-{hi}")
-    for lo, hi in NAIVE_RANGES for i, (threshold, flags) in enumerate(RANGE_FLAGS)]
-RANGE_CASES += [pytest.param(k, lo, hi, None, flags,
-                             id=f"sieve{k}-{'peak' if flags else 'bare'}-{lo}-{hi}")
-                for k, lo, hi in SIEVED_RANGES for flags in ({}, {"peak": True})]
-RANGE_CASES.append(pytest.param(8, 10**6 + 37, 10**6 + 200, None, {"kappa": True},
-                                id="sieve8-kappa-refused"))
+    for lo, hi in NAIVE_RANGES for i, (threshold, outputs) in enumerate(RANGE_OUTPUTS)]
+RANGE_CASES += [pytest.param(k, lo, hi, None, outputs,
+                             id=f"sieve{k}-{'peak' if outputs else 'bare'}-{lo}-{hi}")
+                for k, lo, hi in SIEVED_RANGES for outputs in ((), ("drop", "peak"))]
+RANGE_CASES += [pytest.param(8, 10**6 + 37, 10**6 + 200, None, outputs, id=f"sieve8-{name}-refused")
+                for name, outputs in (("kappa", ("steps", "kappa")), ("steps", ("drop", "steps")))]
 
 
-@pytest.mark.parametrize("k, lo, hi, threshold, flags", RANGE_CASES)
-def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, flags):
+@pytest.mark.parametrize("k, lo, hi, threshold, outputs", RANGE_CASES)
+def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, outputs):
     # 16-start chunks and a 64-start pool, so every range of over 1,000
     # candidates flushes its pool more than once; GUARD - 40..GUARD + 40
     # takes the exact path.  The range is returned as (size, n_at,
@@ -142,16 +144,17 @@ def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, fl
     # range (10, 9) has size 0.  A sieved range gives the candidates and
     # verdicts of `survivor_grid`, and its outputs where no start passes
     # GUARD, else those of a descent from n (peaks over 1 <= j <= steps);
-    # kappa counts from step 0, so a sieve refuses it.  The oracles run at
-    # the full chunk and pool sizes
+    # steps and kappa count from step 0, so a sieve refuses them.  The
+    # oracles run at the full chunk and pool sizes
     sieve = None if k is None else class_sieve(k)
-    if sieve is not None and flags.get("kappa"):
-        with pytest.raises(ValueError, match="kappa"):
-            kernel.descend_range(lo, hi, 1000, sieve=sieve, kappa=True)
+    if sieve is not None and {"steps", "kappa"} & set(outputs):
+        with pytest.raises(ValueError, match="from step 0"):
+            kernel.descend_range(lo, hi, 1000, sieve=sieve, outputs=outputs)
         return
     with monkeypatch.context() as small:
         flushes = small_pool(small)
-        size, n_at, got = kernel.descend_range(lo, hi, 1000, threshold, sieve=sieve, **flags)
+        size, n_at, got = kernel.descend_range(lo, hi, 1000, threshold, sieve=sieve,
+                                               outputs=outputs)
     if size > 1000:
         assert most_flushes(flushes) > 1
     if lo > hi:
@@ -159,17 +162,17 @@ def test_descend_range_matches_one_descent(monkeypatch, k, lo, hi, threshold, fl
     n = n_at(np.arange(size))
     if sieve is None:
         assert n.tolist() == list(range(lo, hi + 1))
-        want = descend(n, 1000, None if threshold is None else threshold(n), **flags)
+        want = descend(n, 1000, None if threshold is None else threshold(n), outputs=outputs)
     else:
-        grid_n, grid = survivor_grid(lo, hi, sieve, 1000, **flags)
+        grid_n, grid = survivor_grid(lo, hi, sieve, 1000, outputs)
         assert n.tolist() == grid_n.tolist()
         from_n = (k, lo, hi) in GUARD_SPANS
         assert starts_from_n(k, hi) == from_n
-        want = descend(n, 1000, n, **flags) if from_n else grid
+        want = descend(n, 1000, n, outputs=outputs) if from_n else grid
         assert want.unresolved.tolist() == grid.unresolved.tolist()
     assert got.unresolved.dtype == want.unresolved.dtype
     assert got.unresolved.tolist() == want.unresolved.tolist()
-    for name in ("steps", "drop", "peak", "kappa"):
+    for name in OUTPUTS:
         col, wanted = getattr(got, name), getattr(want, name)
         if wanted is None:
             assert col is None
@@ -220,7 +223,7 @@ starts = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(starts, min_size=1, max_size=6), st.integers(0, 400))
 def test_descend_matches_scalar_records(ns, step_limit):
-    d = descend(np.array(ns, dtype=np.int64), step_limit, peak=True, kappa=True)
+    d = descend(np.array(ns, dtype=np.int64), step_limit, outputs=OUTPUTS)
     unresolved = set(d.unresolved.tolist())
     assert unresolved == {i for i, n in enumerate(ns)
                           if stats_record(n).stopping_time > step_limit}
@@ -244,13 +247,44 @@ def test_peak_is_object_only_past_int64():
     # GUARD + 1 goes to the exact path, but its peak fits int64; the peak
     # of 2^63 - 1 does not, and only then is the peak column of Python ints
     for ns, dtype in (([27, GUARD + 1], np.int64), ([27, GUARD + 1, 2**63 - 1], object)):
-        d = descend(np.array(ns, dtype=np.int64), 10**4, peak=True, kappa=True)
+        d = descend(np.array(ns, dtype=np.int64), 10**4, outputs=OUTPUTS)
         assert d.peak.dtype == dtype
         assert d.steps.dtype == d.drop.dtype == d.kappa.dtype == np.int64
         assert len(d.unresolved) == 0
         for i, n in enumerate(ns):
             assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
     assert d.peak[2] > np.iinfo(np.int64).max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(starts, min_size=1, max_size=6), st.integers(0, 400))
+def test_named_outputs_are_those_of_the_full_call(ns, step_limit):
+    # each name is tracked for itself: every nonempty subset of the four
+    # names fills exactly its columns, as the call naming all four does,
+    # on starts on both sides of GUARD
+    ns = np.array(ns, dtype=np.int64)
+    full = descend(ns, step_limit, outputs=OUTPUTS)
+    for size in range(1, len(OUTPUTS) + 1):
+        for names in combinations(OUTPUTS, size):
+            d = descend(ns, step_limit, outputs=names)
+            assert d.unresolved.tolist() == full.unresolved.tolist()
+            for name in OUTPUTS:
+                col, want = getattr(d, name), getattr(full, name)
+                if name not in names:
+                    assert col is None
+                    continue
+                assert col.dtype == want.dtype
+                assert col.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("outputs", [("odd",), ("peak", "height"), "peak"],
+                         ids=["odd", "peak-height", "bare-string"])
+def test_unknown_outputs_are_refused(outputs):
+    # a bare string is no tuple of names: its letters are unknown names
+    with pytest.raises(ValueError, match="unknown descent outputs"):
+        descend(np.array([27], dtype=np.int64), 100, outputs=outputs)
+    with pytest.raises(ValueError, match="unknown descent outputs"):
+        kernel.descend_range(2, 100, 100, outputs=outputs)
 
 
 @pytest.mark.parametrize("starts, threshold", [
@@ -262,16 +296,16 @@ def test_peak_is_object_only_past_int64():
 def test_descend_refuses_starts_and_thresholds_not_int64(starts, threshold):
     # in int32, 3x + 1 wraps: 2^30 + 3 would report peak 0, not 2,415,919,112
     with pytest.raises(TypeError, match="int64"):
-        descend(starts, 1000, threshold, peak=True)
+        descend(starts, 1000, threshold, outputs=("drop", "peak"))
 
 
 def test_start_below_threshold_steps_alike_past_guard():
     # T^j(n) is compared for j >= 1 only, on both sides of GUARD
     s = np.array([100, GUARD + 1], dtype=np.int64)
-    d = descend(s, 50, s + 10, peak=True, kappa=True)
+    d = descend(s, 50, s + 10, outputs=OUTPUTS)
     assert d.steps.tolist() == d.kappa.tolist() == [1, 1]
     assert d.drop.tolist() == d.peak.tolist() == [50, (GUARD + 1) // 2]
-    assert descend(s, 0, s + 10, peak=True).unresolved.tolist() == [0, 1]
+    assert descend(s, 0, s + 10, outputs=("drop", "peak")).unresolved.tolist() == [0, 1]
 
 
 def test_step_limit_policies(monkeypatch):
@@ -333,6 +367,19 @@ def test_lift_matches_scalar_steps(k):
             word |= (y & 1) << i
             y = t_map().step(y)
         assert (int(v[x]), int(p[x]), int(w[x])) == (y, 3**a, word)
+
+
+def test_lift_refuses_k_past_the_int64_bound():
+    # the all-ones class r = 2^k - 1 has T^k(r) = 3^k - 1, exact at k = 38;
+    # at k = 40 int64 wrapped (and at 45 the image came back negative)
+    def top(j, r, v, p):
+        return r == r.max()
+
+    r, v, p, _ = lift(38, top)
+    assert (int(r[0]), int(v[0]), int(p[0])) == (2**38 - 1, 3**38 - 1, 3**38)
+    for k in (39, 40, 45):
+        with pytest.raises(ValueError, match="k <= 38"):
+            lift(k, top)
 
 
 def _dropped(j, r):
@@ -430,7 +477,7 @@ def descend_jumps_unchunked(starts, step_limit, thr):
     single[idx] = True  # a jump may have passed over the drop of a start still live
     rerun = np.flatnonzero(single)
     starts, thr = starts[rerun], thr[rerun]
-    steps = kernel._descend(len(rerun), lambda i: (starts[i], thr[i]), step_limit, False, False, 1)
+    steps = kernel._descend(len(rerun), lambda i: (starts[i], thr[i]), step_limit, (), 1)
     return rerun[steps.unresolved]
 
 
@@ -465,10 +512,10 @@ def test_chunked_jumps_match_the_unchunked_oracle(monkeypatch, size):
     # input of the shared fallback, and equal inputs give equal outputs
     level = kernel._descend
 
-    def give_up_on_reruns(size, at, step_limit, peak, kappa, stride=None, *dtype):
+    def give_up_on_reruns(size, at, step_limit, outputs, stride=None, *dtype):
         if stride == 1:  # a rerun by single steps; the entry call jumps
             return kernel.Descent(np.arange(size))
-        return level(size, at, step_limit, peak, kappa, stride, *dtype)
+        return level(size, at, step_limit, outputs, stride, *dtype)
 
     monkeypatch.setattr(kernel, "_descend", give_up_on_reruns)
     for step_limit in GRID_STEP_LIMITS:
@@ -519,7 +566,7 @@ def test_kappa_descent_keeps_only_its_output_columns():
     # it holds one chunk and the pool, not five live columns per start
     starts = np.arange(2, 2**21 + 2)
     tracemalloc.start()
-    descend(starts, 10**5, kappa=True)
+    descend(starts, 10**5, outputs=("steps", "kappa"))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3 * 8 * 2**21
@@ -540,10 +587,10 @@ def test_survivor_start_chunk_near_guard(lo, step_limit):
 
 
 def survivor_grid(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
-                peak: bool = False) -> tuple[np.ndarray, kernel.Descent]:
+                  outputs=()) -> tuple[np.ndarray, kernel.Descent]:
     """The n in lo..hi whose residue mod 2^k survives the sieve, ascending,
     and their `Descent` below n: the unresolved indices into n and, with
-    peak, the largest T^j(n) over k < j <= steps.
+    "peak" among the outputs, the largest T^j(n) over k < j <= steps.
 
     n = 2^k q + r is started at step k, from T^k(n) = 3^a(r) q + T^k(r),
     with step_limit - k steps left; an n whose T^k(n) could pass the
@@ -565,11 +612,12 @@ def survivor_grid(lo: int, hi: int, sieve: ClassSieve, step_limit: int,
     x = (np.minimum(q, qmax) * sieve.pow3 + sieve.images).ravel()[first:end]
     big = (q > qmax).ravel()[first:end]
     if not big.any():
-        return n, descend(x, step_limit - k, n, peak=peak)
+        return n, descend(x, step_limit - k, n, outputs=outputs)
+    peak = "peak" in outputs
     unresolved, peaks = [], np.zeros(len(n), dtype=np.int64) if peak else None
     for idx, starts, limit in ((np.flatnonzero(~big), x, step_limit - k),
                                (np.flatnonzero(big), n, step_limit)):
-        d = descend(starts[idx], limit, n[idx], peak=peak)
+        d = descend(starts[idx], limit, n[idx], outputs=outputs)
         unresolved.append(idx[d.unresolved])
         if peak:
             if d.peak.dtype == object:  # a peak past int64, from the exact path
@@ -619,17 +667,19 @@ def test_survivor_stream_matches_the_survivor_grid(monkeypatch, k, lo, hi, guard
         monkeypatch.setattr(kernel, "GUARD", guard)
     sieve = class_sieve(k)
     flushed = 0
+    outputs = ("drop", "peak") if peak else ()
     for step_limit in (0, k - 1, k, k + 1, 60, 1000):
-        n, want = survivor_grid(lo, hi, sieve, step_limit, peak)
+        n, want = survivor_grid(lo, hi, sieve, step_limit, outputs)
         with monkeypatch.context() as small:
             flushes = small_pool(small)
-            size, n_at, got = kernel.descend_range(lo, hi, step_limit, sieve=sieve, peak=peak)
+            size, n_at, got = kernel.descend_range(lo, hi, step_limit, sieve=sieve,
+                                                   outputs=outputs)
         flushed = max(flushed, most_flushes(flushes))
         assert n_at(np.arange(size)).tolist() == n.tolist()
         assert got.unresolved.tolist() == want.unresolved.tolist()
         if peak:
             if starts_from_n(k, hi):
-                want = descend(n, step_limit, n, peak=True)
+                want = descend(n, step_limit, n, outputs=outputs)
             peaks = np.zeros(len(n), dtype=np.int64) if want.peak is None else want.peak
             assert got.peak.dtype == peaks.dtype
             assert got.peak.tolist() == peaks.tolist()

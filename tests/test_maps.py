@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from collatzlab.maps import (
     DEFAULT_MAGNITUDE_LIMIT,
     DEFAULT_STEP_LIMIT,
+    CeilingMap,
     CycleRecord,
     EnteredCycle,
     MagnitudeLimit,
@@ -154,6 +155,19 @@ def test_parse_rejects_duplicate_and_missing():
         parse_map("d=3; 0: x/3; 2: x")
 
 
+@pytest.mark.parametrize("spec, position", [
+    ("3x+d:abc", 5), ("qx+1:3.5", 5), ("wiggin:", 7), ("queneau:-", 8),
+    ("beta:sqrt:x", 10), ("hasse:3,2,[x]", 11), ("hasse:3,2,[1, y]", 13),
+    ("d=2; x: x/2; 1: x", 4),
+])
+def test_parse_bad_integer_is_a_syntax_error(spec, position):
+    # int() of a map's integer argument raised a bare ValueError; the
+    # error now names the bad text and its offset in the spec
+    with pytest.raises(MapSyntaxError, match="bad integer") as err:
+        parse_map(spec)
+    assert err.value.position == position
+
+
 # ---------------------------------------------------------------- stepping
 
 def test_step_examples():
@@ -270,6 +284,24 @@ def test_beta_map_refuses_beta_not_above_one_or_unparsable(spec):
         parse_map("beta:" + spec)
 
 
+@pytest.mark.parametrize("args", [
+    {}, {"lo": Fraction(1, 2), "hi": Fraction(1, 2)}, {"lo": Fraction(1), "hi": Fraction(1)},
+    {"lo": Fraction(3, 2), "hi": Fraction(5, 4)}, {"sqrt_of": 1}, {"sqrt_of": -3},
+], ids=["default", "half", "one", "lo-above-hi", "sqrt1", "sqrt-3"])
+def test_ceiling_map_refuses_a_direct_construction_out_of_range(args):
+    # built directly, not through beta_map: CeilingMap() stepped 1 and 3
+    # to 0, and beta = 1/2 gave find_cycles the cycle (1,)
+    with pytest.raises(MapError):
+        CeilingMap(**args)
+
+
+def test_ceiling_map_direct_construction_in_range():
+    half_up = CeilingMap(Fraction(3, 2), Fraction(3, 2))
+    assert [half_up.step(x) for x in (1, 3, 4)] == [2, 5, 2]
+    assert [CeilingMap(sqrt_of=2).step(x) for x in (1, 3, 5)] == [2, 5, 8]
+    assert CeilingMap(Fraction(7, 5), Fraction(3, 2)).step(1) == 2  # ceil(1.4) = ceil(1.5)
+
+
 def test_beta_map_accepts_a_decimal_just_above_one():
     m = parse_map("beta:1.0001")
     assert m.step(2) == 1
@@ -314,6 +346,23 @@ def test_trajectory_parity_word():
     # 3 -> 5 -> 8 -> 4 -> 2 -> 1
     assert tr.steps == 5
     assert tr.parity == "11000"
+
+
+def test_trajectory_final_per_outcome():
+    # a target gives its value; a step or magnitude limit the last recorded
+    # iterate; a cycle the iterate just before the repeat (3 -> ... -> 1 -> 2)
+    cases = [(27, {"target_set": {1}}, ReachedTarget, 1), (27, {"step_limit": 5}, StepLimit, 71),
+             (27, {"magnitude_limit": 100}, MagnitudeLimit, 107), (3, {}, EnteredCycle, 1)]
+    for x, kw, outcome, final in cases:
+        t = trajectory(t_map(), x, **kw)
+        assert isinstance(t.termination, outcome)
+        assert t.final == t.iterates[-1] == final
+        bare = trajectory(t_map(), x, record_iterates=False, **kw)
+        if outcome is ReachedTarget:  # the target needs no recorded iterate
+            assert bare.final == final
+        else:
+            with pytest.raises(ValueError, match="no iterates"):
+                bare.final
 
 
 def test_trajectory_domain_error_carries_iterate():

@@ -514,7 +514,7 @@ def excursion_records_by_table(n_max):
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
         n = np.arange(base, hi + 1, dtype=np.int64)
-        d = kernel.descend(n, stats.DEFAULT_STEP_LIMIT, peak=True)
+        d = kernel.descend(n, stats.DEFAULT_STEP_LIMIT, outputs=("drop", "peak"))
         if len(d.unresolved):
             raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
                                f"below itself within {stats.DEFAULT_STEP_LIMIT} steps")
