@@ -65,7 +65,6 @@ class Descent:
 
     unresolved: np.ndarray              # indices still at or above threshold at step_limit
     steps: Optional[np.ndarray] = None  # first step with T^steps(n) below the threshold
-    drop: Optional[np.ndarray] = None   # T^steps(n)
     peak: Optional[np.ndarray] = None   # max T^j(n), 1 <= j <= steps (object dtype past int64)
     kappa: Optional[np.ndarray] = None  # coefficient stopping time, 0 if not reached by then
 
@@ -84,12 +83,12 @@ def descend(
     `_descend`.
 
     The output contract: the `Descent` always holds the unresolved indices,
-    and outputs names the columns it fills, from "steps", "drop", "peak"
-    and "kappa" (a name outside these four raises ValueError).  Only the
+    and outputs names the columns it fills, from "steps", "peak" and
+    "kappa" (a name outside these three raises ValueError).  Only the
     columns named are tracked, each for itself; every other column is None,
     and an unresolved start reads 0 in each.  steps is the first step with
-    T^steps(n) below the threshold, drop is T^steps(n), peak is the largest
-    T^j(n), 1 <= j <= steps, and kappa is the first k with 3^a < 2^k, a the
+    T^steps(n) below the threshold, peak is the largest T^j(n),
+    1 <= j <= steps, and kappa is the first k with 3^a < 2^k, a the
     odd steps among the first k (the coefficient stopping time, 0 if no
     k <= steps qualifies; it never exceeds the stopping time).  Every
     column is int64, except that peak is an object array of Python ints
@@ -222,7 +221,7 @@ _CHUNK = 1 << 15  # starts per head chunk, whose columns stay in cache
 _HEAD_STEPS = 32  # steps per chunk before the survivors are pooled (4 jumps of a bare call)
 _POOL = 1 << 18  # pooled survivors at which the pool is flushed through the tail
 #: the output names of a descent, each with the live columns its steps need besides idx, v, thr
-_OUTPUTS = {"steps": (), "drop": (), "peak": ("peak",), "kappa": ("a", "kappa")}
+_OUTPUTS = {"steps": (), "peak": ("peak",), "kappa": ("a", "kappa")}
 
 
 def _descend(size: int, at: Callable, step_limit: int, outputs: tuple[str, ...],
@@ -265,7 +264,7 @@ def _descend(size: int, at: Callable, step_limit: int, outputs: tuple[str, ...],
             past.append(idx[low])
             live = {name: col[~low] for name, col in live.items()}
         for name in (col for output in out for col in _OUTPUTS[output]):
-            live[name] = np.zeros(len(live["idx"]), dtype=dtype)
+            live[name] = np.zeros(len(live["idx"]), dtype=dtype if name == "peak" else np.int64)
         live = _steps(live, out, 0, head, past, stride)  # frees the chunk's first columns
         pool.append(live)
         if sum(len(chunk["idx"]) for chunk in pool) >= _POOL or lo + _CHUNK >= size:
@@ -330,7 +329,7 @@ def _steps(live: dict, out: dict, step: int, stop: int, past: list, stride: int)
             gone = np.flatnonzero(~stays)
             at = live["idx"][gone]
             for name, col in out.items():
-                col[at] = step if name == "steps" else live["v" if name == "drop" else name][gone]
+                col[at] = step if name == "steps" else live[name][gone]
         keep = np.flatnonzero(stays)  # one index for every compaction
         live = {name: col[keep] for name, col in live.items()}
     return live

@@ -26,7 +26,7 @@ from collatzlab.stats import (
 )
 
 K = kernel._K
-OUTPUTS = ("steps", "drop", "peak", "kappa")
+OUTPUTS = ("steps", "peak", "kappa")
 JUMP_GUARD = (GUARD // 3**K) << K
 
 
@@ -130,9 +130,9 @@ RANGE_CASES = [  # the unsieved ids read threshold-flags<i>-lo-hi, i indexing RA
     for lo, hi in NAIVE_RANGES for i, (threshold, outputs) in enumerate(RANGE_OUTPUTS)]
 RANGE_CASES += [pytest.param(k, lo, hi, None, outputs,
                              id=f"sieve{k}-{'peak' if outputs else 'bare'}-{lo}-{hi}")
-                for k, lo, hi in SIEVED_RANGES for outputs in ((), ("drop", "peak"))]
+                for k, lo, hi in SIEVED_RANGES for outputs in ((), ("peak",))]
 RANGE_CASES += [pytest.param(8, 10**6 + 37, 10**6 + 200, None, outputs, id=f"sieve8-{name}-refused")
-                for name, outputs in (("kappa", ("steps", "kappa")), ("steps", ("drop", "steps")))]
+                for name, outputs in (("kappa", ("steps", "kappa")), ("steps", ("steps",)))]
 
 
 @pytest.mark.parametrize("k, lo, hi, threshold, outputs", RANGE_CASES)
@@ -229,18 +229,18 @@ def test_descend_matches_scalar_records(ns, step_limit):
                           if stats_record(n).stopping_time > step_limit}
     for i, n in enumerate(ns):
         if i not in unresolved:
-            assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
+            assert (d.steps[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
 
 
 def scalar_descent(n):
-    """(steps, drop, peak, kappa) of `descend` for n, from the scalar
+    """(steps, peak, kappa) of `descend` for n, from the scalar
     records and T-steps in Python ints."""
     sigma = stats_record(n).stopping_time
     x, peak = n, 0
     for _ in range(sigma):
         x = t_map().step(x)
         peak = max(peak, x)
-    return sigma, x, peak, coeff_stop_record(n).k
+    return sigma, peak, coeff_stop_record(n).k
 
 
 def test_peak_is_object_only_past_int64():
@@ -249,18 +249,18 @@ def test_peak_is_object_only_past_int64():
     for ns, dtype in (([27, GUARD + 1], np.int64), ([27, GUARD + 1, 2**63 - 1], object)):
         d = descend(np.array(ns, dtype=np.int64), 10**4, outputs=OUTPUTS)
         assert d.peak.dtype == dtype
-        assert d.steps.dtype == d.drop.dtype == d.kappa.dtype == np.int64
+        assert d.steps.dtype == d.kappa.dtype == np.int64
         assert len(d.unresolved) == 0
         for i, n in enumerate(ns):
-            assert (d.steps[i], d.drop[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
+            assert (d.steps[i], d.peak[i], d.kappa[i]) == scalar_descent(n)
     assert d.peak[2] > np.iinfo(np.int64).max
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(starts, min_size=1, max_size=6), st.integers(0, 400))
 def test_named_outputs_are_those_of_the_full_call(ns, step_limit):
-    # each name is tracked for itself: every nonempty subset of the four
-    # names fills exactly its columns, as the call naming all four does,
+    # each name is tracked for itself: every nonempty subset of the three
+    # names fills exactly its columns, as the call naming all three does,
     # on starts on both sides of GUARD
     ns = np.array(ns, dtype=np.int64)
     full = descend(ns, step_limit, outputs=OUTPUTS)
@@ -277,10 +277,11 @@ def test_named_outputs_are_those_of_the_full_call(ns, step_limit):
                 assert col.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("outputs", [("odd",), ("peak", "height"), "peak"],
-                         ids=["odd", "peak-height", "bare-string"])
+@pytest.mark.parametrize("outputs", [("odd",), ("drop",), ("peak", "height"), "peak"],
+                         ids=["odd", "drop", "peak-height", "bare-string"])
 def test_unknown_outputs_are_refused(outputs):
-    # a bare string is no tuple of names: its letters are unknown names
+    # a bare string is no tuple of names: its letters are unknown names;
+    # "odd" and "drop" wait for a reader
     with pytest.raises(ValueError, match="unknown descent outputs"):
         descend(np.array([27], dtype=np.int64), 100, outputs=outputs)
     with pytest.raises(ValueError, match="unknown descent outputs"):
@@ -296,7 +297,7 @@ def test_unknown_outputs_are_refused(outputs):
 def test_descend_refuses_starts_and_thresholds_not_int64(starts, threshold):
     # in int32, 3x + 1 wraps: 2^30 + 3 would report peak 0, not 2,415,919,112
     with pytest.raises(TypeError, match="int64"):
-        descend(starts, 1000, threshold, outputs=("drop", "peak"))
+        descend(starts, 1000, threshold, outputs=("peak",))
 
 
 def test_start_below_threshold_steps_alike_past_guard():
@@ -304,8 +305,8 @@ def test_start_below_threshold_steps_alike_past_guard():
     s = np.array([100, GUARD + 1], dtype=np.int64)
     d = descend(s, 50, s + 10, outputs=OUTPUTS)
     assert d.steps.tolist() == d.kappa.tolist() == [1, 1]
-    assert d.drop.tolist() == d.peak.tolist() == [50, (GUARD + 1) // 2]
-    assert descend(s, 0, s + 10, outputs=("drop", "peak")).unresolved.tolist() == [0, 1]
+    assert d.peak.tolist() == [50, (GUARD + 1) // 2]
+    assert descend(s, 0, s + 10, outputs=("peak",)).unresolved.tolist() == [0, 1]
 
 
 def test_step_limit_policies(monkeypatch):
@@ -667,7 +668,7 @@ def test_survivor_stream_matches_the_survivor_grid(monkeypatch, k, lo, hi, guard
         monkeypatch.setattr(kernel, "GUARD", guard)
     sieve = class_sieve(k)
     flushed = 0
-    outputs = ("drop", "peak") if peak else ()
+    outputs = ("peak",) if peak else ()
     for step_limit in (0, k - 1, k, k + 1, 60, 1000):
         n, want = survivor_grid(lo, hi, sieve, step_limit, outputs)
         with monkeypatch.context() as small:

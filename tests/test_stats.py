@@ -504,7 +504,8 @@ def excursion_records_by_table(n_max):
     full table, in blocks of 2^19.  A block reads t(drop) before writing
     its own entries, so an entry whose drop lies in the same block is its
     peak alone (t(6) reads 3, not 8); the champions, whose t(n) is the
-    peak, are still right."""
+    peak, are still right.  The drop T^steps(n) is replayed here from n
+    by `steps` T-steps, as the descent returns no drop."""
     t = np.zeros(n_max + 1, dtype=np.int64)
     t[1] = 2
     violations = []
@@ -514,13 +515,17 @@ def excursion_records_by_table(n_max):
     for base in range(2, n_max + 1, block):
         hi = min(base + block - 1, n_max)
         n = np.arange(base, hi + 1, dtype=np.int64)
-        d = kernel.descend(n, stats.DEFAULT_STEP_LIMIT, outputs=("drop", "peak"))
+        d = kernel.descend(n, stats.DEFAULT_STEP_LIMIT, outputs=("steps", "peak"))
         if len(d.unresolved):
             raise RuntimeError(f"excursion sweep: n={n[d.unresolved[0]]} did not drop "
                                f"below itself within {stats.DEFAULT_STEP_LIMIT} steps")
+        drop = n.copy()
+        for j in range(1, int(d.steps.max(initial=0)) + 1):
+            on = d.steps >= j
+            drop[on] = kernel.t_step(drop[on])[0]
         if d.peak.dtype == object:
             t = t.astype(object)
-        tb = t[base:hi + 1] = np.maximum(d.peak, t[d.drop])
+        tb = t[base:hi + 1] = np.maximum(d.peak, t[drop])
         violations.extend((int(i + base), int(tb[i])) for i in np.nonzero(tb > 8 * n * n)[0])
         for i in np.nonzero(tb == np.maximum.accumulate(tb))[0]:
             if tb[i] > best:
