@@ -77,9 +77,7 @@ def _log2_bounds_once(p: int, q: int, frac_bits: int, guard: int) -> tuple[int, 
             frac |= 1
             lo >>= 1
             hi = (hi + 1) >> 1
-        elif hi < two:
-            pass
-        else:
+        elif hi >= two:  # the square straddles 2: this bit is undecided
             raise PrecisionExhausted
         if hi - lo > one:  # interval degenerated; cannot certify remaining bits
             raise PrecisionExhausted
@@ -112,13 +110,12 @@ def compare_power2_power3(p: int, q: int) -> int:
 class ContinuedFraction:
     """A continued-fraction expansion with exact convergents.
 
-    target is "log2_3" or "rational"; for rational targets the expansion
-    terminates and value holds the exact fraction.
+    quotients are the partial quotients a_0, a_1, ...; power_certified_depth
+    counts the leading convergents that cf_log2_3 checked against powers of
+    2 and 3 (0 for cf_rational).
     """
 
-    target: str
     quotients: list[int]
-    value: Fraction | None = None
     power_certified_depth: int = 0
 
     def convergents(self) -> list[tuple[int, int]]:
@@ -160,66 +157,46 @@ def cf_rational(value: Fraction | tuple[int, int]) -> ContinuedFraction:
         a, r = divmod(p, q)
         quotients.append(a)
         p, q = q, r
-    return ContinuedFraction(target="rational", quotients=quotients, value=frac)
-
-
-def _quotients_from_bounds(lo: int, hi: int, scale: int, depth: int) -> list[int] | None:
-    """Common continued-fraction prefix of lo/scale and hi/scale, or None
-    if the two expansions disagree within `depth` quotients."""
-    out = []
-    a_n, a_d = lo, scale
-    b_n, b_d = hi, scale
-    for _ in range(depth):
-        if a_d == 0 or b_d == 0:
-            return None
-        qa, ra = divmod(a_n, a_d)
-        qb, rb = divmod(b_n, b_d)
-        if qa != qb:
-            return None
-        out.append(qa)
-        a_n, a_d = a_d, ra
-        b_n, b_d = b_d, rb
-    return out
+    return ContinuedFraction(quotients)
 
 
 def cf_log2_3(depth: int) -> ContinuedFraction:
     """First `depth` partial quotients of log2(3), exactly certified.
 
-    Quotients come from a certified integer interval around log2(3); every
-    convergent p/q with q <= POWER_CERT_LIMIT is additionally certified by
-    the direct comparison of 2^p against 3^q (signs must alternate, which
-    pins the convergents of an irrational target).
+    The quotients are the common prefix of cf_rational on both ends of the
+    certified bracket lo/2^bits < log2(3) < hi/2^bits of log2_3_fixed(bits),
+    at bits = 256, 512, ..., 8192: every number in the bracket shares the
+    quotients on which the two ends agree.  The first bits at which both
+    expansions reach `depth` quotients and agree on them gives the result;
+    if none does, PrecisionExhausted.  Every convergent p/q with
+    q <= POWER_CERT_LIMIT is additionally certified by the direct
+    comparison of 2^p against 3^q (signs must alternate, which pins the
+    convergents of an irrational target).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:
         raise ValueError(f"depth capped at {DEPTH_CAP}")
-    bits = 256
-    quotients = None
-    while bits <= 8192:
-        lo, hi = log2_3_fixed(bits)
-        quotients = _quotients_from_bounds(lo, hi, 1 << bits, depth)
-        if quotients is not None:
-            break
-        bits *= 2
-    if quotients is None:
-        raise PrecisionExhausted("continued fraction prefix did not stabilize")
-    cf = ContinuedFraction(target="log2_3", quotients=quotients)
-    cf.power_certified_depth = _power_certify(cf, POWER_CERT_LIMIT)
-    return cf
+    for bits in (256, 512, 1024, 2048, 4096, 8192):
+        lo, hi = (cf_rational((end, 1 << bits)).quotients[:depth] for end in log2_3_fixed(bits))
+        if len(lo) == depth and lo == hi:
+            cf = ContinuedFraction(lo)
+            cf.power_certified_depth = _power_certify(cf)
+            return cf
+    raise PrecisionExhausted("continued fraction prefix did not stabilize")
 
 
-def _power_certify(cf: ContinuedFraction, limit: int) -> int:
+def _power_certify(cf: ContinuedFraction) -> int:
     """Certify convergent directions by exact power comparison.
 
-    For each convergent p/q with q <= limit, sign(2^p - 3^q) equals
-    sign(p/q - log2 3) and must alternate with index.  Returns the number
-    of certified convergents.
+    For each convergent p/q with q <= POWER_CERT_LIMIT, sign(2^p - 3^q)
+    equals sign(p/q - log2 3) and must alternate with index.  Returns the
+    number of certified convergents.
     """
     certified = 0
     expected = None
     for p, q in cf.convergents():
-        if q > limit:
+        if q > POWER_CERT_LIMIT:
             break
         s = compare_power2_power3(p, q)
         if s == 0:

@@ -459,13 +459,6 @@ class CycleBoundReport:
         }
 
 
-def _feasible_exact(n: int, p: int, d: int) -> bool:
-    """Exact test of n*log2(3) < p < n*log2(3 + 1/d) by integer powers."""
-    if not (3**n < (1 << p)):
-        return False
-    return (1 << p) * d**n < (3 * d + 1) ** n
-
-
 def cycle_length_lower_bound(
     verification_bound: int,
     period_cutoff: int = 10**9,
@@ -488,8 +481,10 @@ def cycle_length_lower_bound(
     2^64 - 1 - (n*theta mod 2^64) < n*d + 8, a certified superset.  For n
     in [2^i, 2^(i+1)) those residues lie in a band of width 2^(i+1)*d + 8
     below 2^64, and _band_hits walks the n landing there in O(hits) steps.
-    Candidates are settled against 192-bit directed bounds, and boundary
-    straddles fall back to exact power comparisons.
+    Candidates are settled against 192-bit directed bounds.  Where those
+    leave p or either end of the window undecided, the exact tier reads
+    p = floor(n log2 3) + 1 off 3^n as its bit length (3^n is never a power
+    of 2) and tests 2^p D^n < (3D + 1)^n.
 
     With first_only the scan stops at the minimal pair, so feasible_periods
     lists only the periods for n <= min_odd_terms and scanned_odd_terms is
@@ -521,10 +516,12 @@ def cycle_length_lower_bound(
         top_lo = nn * loD
         if p * scale > nH and p * scale < top_lo:
             return p
-        # p - 1 <= nL / scale < n log2 3, so only p can straddle exactly
+        # either the bracket on n log2 3 straddles an integer, so p may be
+        # one too small, or only the top end of the window is undecided
         if nL // scale != nH // scale or (top_lo <= p * scale <= nn * hiD):
             exact_checks += 1
-            if _feasible_exact(nn, p, D):
+            p = (3**nn).bit_length()
+            if (1 << p) * D**nn < (3 * D + 1) ** nn:
                 return p
         return None
 

@@ -174,12 +174,15 @@ def fractran_run(
 
     halt is one of "power_of_two" (collect every power of two after the
     start; stop at max_outputs of them), "value" (stop when halt_value
-    appears), or "none" (run to genuine halt or budget).  Budget exhaustion
-    is reported separately from a genuine halt: the run takes at most
-    max_steps steps, and it is exhausted only if a further step applies.
+    appears; without a halt_value it is refused), or "none" (run to genuine
+    halt or budget).  Budget exhaustion is reported separately from a
+    genuine halt: the run takes at most max_steps steps, and it is
+    exhausted only if a further step applies.
     """
     if halt not in ("power_of_two", "value", "none"):
         raise ValueError("unknown halt predicate")
+    if halt == "value" and halt_value is None:
+        raise ValueError('halt="value" needs a halt_value')
     if max_outputs is not None and max_outputs < 1:
         raise ValueError("max_outputs must be >= 1")
     outputs: list[int] = []

@@ -206,7 +206,7 @@ def hasse_map(d: int, m: int, rs: list[int]) -> ResidueAffineMap:
             raise MapError(f"hasse offset r_{j}={r} must satisfy r_j = -m*j (mod d)")
     rows = [(F(1, d), F(0))]
     rows += [(F(m, d), F(r, d)) for r in rs]
-    return _affine(d, rows, f"hasse:{d},{m}")
+    return _affine(d, rows, f"hasse:{d},{m},[{','.join(map(str, rs))}]")
 
 
 def wiggin_map(D: int) -> ResidueAffineMap:

@@ -56,18 +56,20 @@ class InverseTree:
         }
 
     def edge_list(self) -> Iterable[tuple[int, int]]:
-        """(child, parent) pairs; requires full mode."""
+        """(child, parent) pairs, level by level; requires full mode.
+
+        A level is its parents' children, concatenated in parent order as
+        tree_counts built it, so expanding each parent again yields the
+        level's nodes in stored order.
+        """
         if self.levels is None:
             raise ValueError("tree was built in counts-only mode")
-        prev = [self.root]
+        parents = [self.root]
         for level in self.levels:
-            parents = {}
-            for p in prev:
+            for p in parents:
                 for c in _children(p, self.pruned):
-                    parents[c] = p
-            for c in level:
-                yield c, parents[c]
-            prev = level
+                    yield c, p
+            parents = level
 
 
 def tree_counts(
@@ -130,8 +132,9 @@ def extremal_spread(
     roots: Iterable[int],
     mod_power_classes: int = 0,
 ) -> SpreadReport:
-    """Extremes and mean of pruned-tree leaf counts over roots not divisible
-    by 3, compared with the reference mean (4/3)^depth.
+    """Extremes and mean of pruned-tree leaf counts over the distinct roots
+    not divisible by 3 (a repeated root counts once), compared with the
+    reference mean (4/3)^depth.
 
     With mod_power_classes = l > 0, per-class empirical means over roots
     grouped mod 3^l are reported as estimates of the class-dependent limit
@@ -139,15 +142,13 @@ def extremal_spread(
     """
     if depth > 30:
         raise ValueError("depth must be <= 30")
-    rs = [a for a in roots if a % 3 != 0]
-    if not rs:
+    counts = {a: tree_counts(a, depth, pruned=True).counts[-1] if depth else 1
+              for a in roots if a % 3 != 0}
+    if not counts:
         raise ValueError("need at least one root not divisible by 3")
-    counts = {}
-    for a in rs:
-        counts[a] = tree_counts(a, depth, pruned=True).counts[-1] if depth else 1
-    min_root = min(rs, key=lambda a: (counts[a], a))
-    max_root = max(rs, key=lambda a: (counts[a], -a))
-    mean = sum(counts.values()) / len(rs)
+    min_root = min(counts, key=lambda a: (counts[a], a))
+    max_root = max(counts, key=lambda a: (counts[a], -a))
+    mean = sum(counts.values()) / len(counts)
     ref = (4 / 3) ** depth
     class_means = {}
     if mod_power_classes:
@@ -155,7 +156,7 @@ def extremal_spread(
         for r in range(m):
             if r % 3 == 0:
                 continue
-            members = [counts[a] for a in rs if a % m == r]
+            members = [c for a, c in counts.items() if a % m == r]
             if members:
                 class_means[r] = (sum(members) / len(members)) / ref
     return SpreadReport(

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from collatzlab import cf as cf_module
 from collatzlab.cf import (
     FRAC_BITS,
     cf_log2_3,
@@ -151,3 +152,39 @@ def test_log2_bounds_certified_below_one():
         assert hi - lo == 1
         assert p**64 << max(-lo, 0) >= q**64 << max(lo, 0)
         assert p**64 << max(-hi, 0) < q**64 << max(hi, 0)
+
+
+def test_cf_log2_3_is_the_common_prefix_of_the_bracket_ends():
+    lo, hi = log2_3_fixed(256)
+    ends = [cf_rational((end, 1 << 256)).quotients for end in (lo, hi)]
+    for depth in range(1, 65):
+        assert cf_log2_3(depth).quotients == ends[0][:depth] == ends[1][:depth]
+
+
+def test_cf_log2_3_refuses_a_bracket_that_never_agrees(monkeypatch):
+    # a bracket 2^-8 wide at every precision splits the expansion at a_3
+    def wide(bits):
+        lo = log2_3_fixed(bits)[0]
+        return lo, lo + (1 << (bits - 8))
+
+    monkeypatch.setattr(cf_module, "log2_3_fixed", wide)
+    assert cf_log2_3(3).quotients == [1, 1, 1]
+    with pytest.raises(cf_module.PrecisionExhausted, match="did not stabilize"):
+        cf_log2_3(12)
+
+
+def test_log2_bounds_retries_at_a_larger_guard(monkeypatch):
+    real = cf_module._log2_bounds_once
+    want = {(p, q, b): log2_bounds(p, q, b)
+            for p, q, b in itertools.product(range(1, 40), range(1, 40), (6, 64, 192))}
+    guards = set()
+
+    def fail_at_64(p, q, frac_bits, guard):
+        guards.add(guard)
+        if guard == 64:
+            raise cf_module.PrecisionExhausted
+        return real(p, q, frac_bits, guard)
+
+    monkeypatch.setattr(cf_module, "_log2_bounds_once", fail_at_64)
+    assert {key: log2_bounds(*key) for key in want} == want
+    assert guards == {64, 128}

@@ -625,3 +625,50 @@ def test_packed_bound_refuses_nonpositive_input(n, p, D):
 def test_best_packed_min_element_refuses_nonpositive_input(n, p):
     with pytest.raises(ValueError, match="positive"):
         best_packed_min_element(n, p)
+
+
+@pytest.mark.parametrize("D, cutoff", [(2, 10**4), (7, 2 * 10**4)])
+def test_window_exact_tier_keeps_every_period(monkeypatch, D, cutoff):
+    # a bracket on log2 3 widened by 2^-16 straddles n log2 3 for many n;
+    # there p = floor(n lo3) + 1 can be one too small (first at p = 570)
+    want = cycle_length_lower_bound(D, cutoff)
+    real = log2_3_fixed
+
+    def widened(bits=FRAC_BITS):
+        lo, hi = real(bits)
+        return (lo - (1 << 176), hi + (1 << 176)) if bits == FRAC_BITS else (lo, hi)
+
+    monkeypatch.setattr(cycles, "log2_3_fixed", widened)
+    got = cycle_length_lower_bound(D, cutoff)
+    assert got.boundary_exact_checks > 0 and want.boundary_exact_checks == 0
+    assert got.feasible_periods == want.feasible_periods
+    skip = ("window_constants", "boundary_exact_checks")
+    assert ({k: v for k, v in got.to_dict().items() if k not in skip}
+            == {k: v for k, v in want.to_dict().items() if k not in skip})
+
+
+@pytest.mark.parametrize("D, cutoff", [(7, 2 * 10**4), (10**6, 10**4)])
+def test_window_scan_of_every_n_rejects_the_extra_ones(monkeypatch, D, cutoff):
+    # the candidate list is a superset filter: testing every n adds only n
+    # whose window holds no integer (most n below 1/log2(1 + 1/(3D))), and
+    # window_feasible must reject them
+    want = cycle_length_lower_bound(D, cutoff)
+    monkeypatch.setattr(cycles, "_window_candidates", lambda theta, d, lo, hi: range(lo, hi + 1))
+    got = cycle_length_lower_bound(D, cutoff)
+    assert got.feasible_periods == want.feasible_periods
+    assert got.to_dict() == want.to_dict()
+
+def test_packed_bound_upper_log2_when_the_sum_bracket_is_wide(monkeypatch):
+    # q_hi - q_lo > 2^41 > 2D: the upper end needs its own log2 bracket
+    real = _packed_sum_bounds
+
+    def widened(n, p, work_bits):
+        lo, hi = real(n, p, work_bits)
+        return lo - (1 << 40), hi + (1 << 40)
+
+    monkeypatch.setattr(cycles, "_packed_sum_bounds", widened)
+    for n in range(1, 70):
+        for p in range((3**n).bit_length(), (3**n).bit_length() + 3):
+            exact = best_packed_min_element(n, p)
+            for D in (1, 2, 5, 17, 100, 10**4, 10**6):
+                assert packed_bound_exceeds(n, p, D) == (exact > D), (n, p, D)

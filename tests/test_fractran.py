@@ -238,3 +238,16 @@ def test_small_program_as_multiplier_map():
 def test_multiplier_map_partiality_detected():
     with pytest.raises(MapError, match="partial"):
         fractran_as_multiplier_map(FractranProgram((Fraction(1, 2),)))
+
+
+def test_run_value_halt_needs_a_value():
+    with pytest.raises(ValueError, match="halt_value"):
+        fractran_run(FractranProgram(PRIMEGAME), 2, halt="value")
+
+
+def test_conway_iterate_takes_a_fractran_program():
+    prog = FractranProgram((Fraction(3, 2), Fraction(1, 3), Fraction(4, 1)))
+    tr = conway_iterate(prog, 6)
+    assert tr == conway_iterate(fractran_as_multiplier_map(prog), 6)
+    assert tr.iterates == [6, 9, 3, 1]
+    assert tr.termination == ReachedTarget(1)

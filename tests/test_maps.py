@@ -529,3 +529,41 @@ def test_trajectory_sees_a_cycle_at_its_first_repeat():
     assert tr.termination.cycle.elements == (-5, -7, -10)
     assert tr.steps == 4 and tr.iterates == [-20, -10, -5, -7] and tr.parity == "0011"
     assert isinstance(trajectory_brent(t_map(), -20, step_limit=5).termination, StepLimit)
+
+
+ROUND_TRIP_SPECS = ["T", "C", "3x+d:5", "qx+1:5", "hasse:3,2,[1,2]", "hasse:3,2,[4,-1]",
+                    "hasse:2,3,[1]", "wiggin:3", "collatz-perm", "atkin-perm", "feix3", "mahler",
+                    "queneau:7", "teriele", "beta:3/2", "beta:sqrt:2", "beta:1.5",
+                    "d=2; 0: x/2; 1: (3x+1)/2", " T "]
+
+
+def _step_or_refusal(m, x):
+    try:
+        return m.step(x)
+    except MapDomainError as e:
+        return "MapDomainError", e.value
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
+def test_label_parses_back_to_the_same_map(spec):
+    m = parse_map(spec)
+    again = parse_map(m.label)
+    assert again.label == m.label
+    for x in range(-40, 41):
+        assert _step_or_refusal(again, x) == _step_or_refusal(m, x), x
+
+
+def test_hasse_labels_tell_the_offsets_apart():
+    a, b = parse_map("hasse:3,2,[1,2]"), parse_map("hasse:3,2,[4,-1]")
+    assert (a.step(4), b.step(4)) == (3, 4)
+    assert a.label != b.label
+
+
+def test_find_cycles_reports_a_start_whose_walk_leaves_the_domain():
+    # beta:1.5 is bracketed too coarsely at 7 (ceil(1.5*7) = 11, ceil(1.6*7) = 12)
+    m = parse_map("beta:1.5")
+    with pytest.raises(MapDomainError):
+        m.step(7)
+    res = find_cycles(m, (1, 30))
+    assert [c.elements for c in res.cycles] == [(1, 2)]
+    assert res.unresolved == [7, 9, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30]

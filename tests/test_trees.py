@@ -210,3 +210,20 @@ def test_odd_preimage_canonical_residue():
         if t is not None:
             assert t % 8 != 5
             assert odd_step(t) == n
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_edge_list_follows_the_stored_levels(pruned):
+    for a in (1, 2, 5, 9, 16, 41):
+        t = tree_counts(a, 9, mode="full", pruned=pruned)
+        edges = list(t.edge_list())
+        assert [c for c, _ in edges] == [c for level in t.levels for c in level]
+        # every node above the last level is a parent: 2x is always a child
+        assert {p for _, p in edges} == {a, *(c for level in t.levels[:-1] for c in level)}
+        assert all(t_map().step(c) == p for c, p in edges)
+    assert list(tree_counts(5, 0, mode="full").edge_list()) == []
+
+
+def test_extremal_spread_counts_each_root_once():
+    assert extremal_spread(6, [1, 1]).to_dict() == extremal_spread(6, [1]).to_dict()
+    assert extremal_spread(6, [2, 1, 2, 3], 1).to_dict() == extremal_spread(6, [2, 1], 1).to_dict()
